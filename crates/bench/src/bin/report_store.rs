@@ -268,10 +268,9 @@ fn main() {
          log; snapshots bound the log's replay cost). The gated floor is\n\
          the counter ratio — it is what survives any machine. Wall-clock\n\
          additionally pays to re-checksum the snapshot record and decode\n\
-         it (format v1 writes every retained copy-on-write state version),\n\
+         it (every retained copy-on-write state version is written),\n\
          so it only nets out ahead once per-block interpretation dominates\n\
-         those linear costs — see ROADMAP: snapshot compaction and\n\
-         record-skipping journal reads.\n"
+         those linear costs — see ROADMAP: interpreter diet, item 3.\n"
     );
 
     // Machine-readable trajectory line (snapshot: BENCH_store.json).

@@ -37,10 +37,6 @@
 //!   states), then clones only the **touched** instances via
 //!   [`Arc::make_mut`]. Untouched entries keep pointing at the ancestor's
 //!   instance allocation.
-//! * The `active` label set is likewise an `Arc<BTreeSet<Label>>`, seeded
-//!   from the largest predecessor's set and unshared only when the union
-//!   over predecessors (plus this block's own requests) actually adds a
-//!   label.
 //!
 //! A label is therefore *materialized* at a block exactly when Algorithm 2
 //! drives its instance there: a request for it appears in `B.rs`
@@ -51,13 +47,23 @@
 //! `unique_instances` counts distinct instance allocations (what is
 //! actually resident).
 //!
-//! Compaction ([`Interpreter::compact`]) drops the introspection-only
-//! `Ms[in, ·]` buffers. It keeps a watermark into the interpretation
-//! order, so repeated calls only visit blocks interpreted since the last
-//! compaction and return 0 cheaply when there is nothing to drop.
-//! Out-buffers and instance states are never dropped: any future block —
-//! including a byzantine server's — may still reference an old block
-//! directly (§7).
+//! # Stored versus derived state
+//!
+//! Per block the interpreter stores only `B.PIs` and `B.Ms[out, ·]`.
+//!
+//! * `B.Ms[in, ℓ]` is, by lines 8–10, exactly the predecessors'
+//!   `Ms[out, ℓ]` addressed to `B.n`. Delivery builds each inbox from
+//!   there, and [`Interpreter::in_messages`] rebuilds it on demand through
+//!   the same helper, so it is never stored.
+//! * Line 7 ranges the in-collection over labels requested at ancestors.
+//!   Only labels some predecessor sent on can have a non-empty inbox, so
+//!   delivery ranges over the predecessors' out-labels instead and no
+//!   per-block label set is kept. [`crate::reference`] keeps the literal
+//!   set as the oracle for this shortcut.
+//!
+//! Out-buffers and instance states are retained for every interpreted
+//! block: any future block — including a byzantine server's — may still
+//! reference an old block directly (§7).
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::error::Error;
@@ -131,12 +137,13 @@ impl Error for InterpretError {}
 /// pointer, unshared entry-wise only for labels touched at this block.
 type SharedInstances<P> = Arc<BTreeMap<Label, Arc<P>>>;
 
-/// Interpretation state attached to one block `B`:
-/// `B.PIs`, `B.Ms[out, ·]`, `B.Ms[in, ·]` in the paper's notation.
+/// Interpretation state attached to one block `B`: `B.PIs` and
+/// `B.Ms[out, ·]` in the paper's notation.
 ///
-/// `pis` and `active` are structurally shared with ancestor blocks (see
-/// the module docs); `outs`/`ins` are per-block by nature — they hold only
-/// what was produced or delivered *at* this block.
+/// `pis` is structurally shared with ancestor blocks (see the module
+/// docs); `outs` is per-block by nature — it holds only what was produced
+/// *at* this block. `B.Ms[in, ·]` is derived, not stored (see
+/// [`Interpreter::in_messages`]).
 #[derive(Debug, Clone)]
 pub struct BlockState<P: DeterministicProtocol> {
     /// `B.PIs[ℓ]`: the state of process instance `ℓ` of server `B.n`,
@@ -146,12 +153,6 @@ pub struct BlockState<P: DeterministicProtocol> {
     pis: SharedInstances<P>,
     /// `B.Ms[out, ℓ]`: messages sent by `B.n`'s instance at this block.
     outs: BTreeMap<Label, BTreeSet<Envelope<P::Message>>>,
-    /// `B.Ms[in, ℓ]`: messages delivered to `B.n`'s instance at this block.
-    ins: BTreeMap<Label, BTreeSet<Envelope<P::Message>>>,
-    /// Labels with a request at this block or any ancestor — the set the
-    /// in-collection of line 7 ranges over (for descendants). Shared with
-    /// the largest predecessor's set when the union adds nothing.
-    active: Arc<BTreeSet<Label>>,
 }
 
 impl<P: DeterministicProtocol> BlockState<P> {
@@ -169,16 +170,6 @@ impl<P: DeterministicProtocol> BlockState<P> {
     /// Out-going messages `B.Ms[out, ℓ]` produced at this block.
     pub fn out_messages(&self, label: Label) -> impl Iterator<Item = &Envelope<P::Message>> {
         self.outs.get(&label).into_iter().flatten()
-    }
-
-    /// In-coming messages `B.Ms[in, ℓ]` delivered at this block.
-    pub fn in_messages(&self, label: Label) -> impl Iterator<Item = &Envelope<P::Message>> {
-        self.ins.get(&label).into_iter().flatten()
-    }
-
-    /// Labels active at this block (requested here or at an ancestor).
-    pub fn active_labels(&self) -> impl Iterator<Item = &Label> {
-        self.active.iter()
     }
 
     /// Labels for which this block produced out-going messages.
@@ -219,7 +210,10 @@ pub struct InterpreterFootprint {
     pub unique_instances: usize,
     /// Envelopes in out-buffers.
     pub out_envelopes: usize,
-    /// Envelopes in in-buffers (droppable via [`Interpreter::compact`]).
+    /// Always 0: in-buffers are derived on demand
+    /// ([`Interpreter::in_messages`]), never stored. Kept only because the
+    /// benchmark harness reads it; remove it when the benchmark is next
+    /// revised.
     pub in_envelopes: usize,
 }
 
@@ -244,7 +238,6 @@ impl std::ops::AddAssign for InterpreterFootprint {
         self.instances += rhs.instances;
         self.unique_instances += rhs.unique_instances;
         self.out_envelopes += rhs.out_envelopes;
-        self.in_envelopes += rhs.in_envelopes;
     }
 }
 
@@ -287,9 +280,6 @@ pub struct Interpreter<P: DeterministicProtocol> {
     order: Vec<BlockRef>,
     indications: Vec<Indication<P::Indication>>,
     stats: InterpretStats,
-    /// Prefix of `order` whose in-buffers [`Interpreter::compact`] has
-    /// already dropped; repeated compactions skip it.
-    compacted: usize,
     /// Incremental eligibility tracking for [`Interpreter::step`]: how many
     /// blocks of the DAG's insertion order have been scanned …
     scanned: usize,
@@ -311,7 +301,6 @@ impl<P: DeterministicProtocol> Interpreter<P> {
             order: Vec::new(),
             indications: Vec::new(),
             stats: InterpretStats::default(),
-            compacted: 0,
             scanned: 0,
             waiting: HashMap::new(),
             dependents: HashMap::new(),
@@ -491,30 +480,7 @@ impl<P: DeterministicProtocol> Interpreter<P> {
             None => Arc::new(BTreeMap::new()),
         };
 
-        // Labels relevant at this block: requested at any strict ancestor
-        // (union over preds of their active sets) — line 7 — plus the labels
-        // requested at this block itself. Seeded from the largest
-        // predecessor set; unshared only if the union adds labels.
-        let mut active: Arc<BTreeSet<Label>> = preds
-            .iter()
-            .map(|pred| &self.states[pred].active)
-            .max_by_key(|set| set.len())
-            .map(Arc::clone)
-            .unwrap_or_default();
-        for pred in &preds {
-            let pred_active = &self.states[pred].active;
-            if Arc::ptr_eq(pred_active, &active) {
-                continue;
-            }
-            for label in pred_active.iter() {
-                if !active.contains(label) {
-                    Arc::make_mut(&mut active).insert(*label);
-                }
-            }
-        }
-
         let mut outs: BTreeMap<Label, BTreeSet<Envelope<P::Message>>> = BTreeMap::new();
-        let mut ins: BTreeMap<Label, BTreeSet<Envelope<P::Message>>> = BTreeMap::new();
         let mut touched: BTreeSet<Label> = BTreeSet::new();
         let config = self.config;
 
@@ -529,9 +495,6 @@ impl<P: DeterministicProtocol> Interpreter<P> {
                     let envelopes: Vec<_> = outbox.into_envelopes(me).collect();
                     self.stats.messages_materialized += envelopes.len() as u64;
                     outs.entry(label).or_default().extend(envelopes);
-                    if !active.contains(&label) {
-                        Arc::make_mut(&mut active).insert(label);
-                    }
                     touched.insert(label);
                     self.stats.requests_processed += 1;
                 }
@@ -548,23 +511,18 @@ impl<P: DeterministicProtocol> Interpreter<P> {
         // addressed to B.n from the direct predecessors' out-buffers and
         // deliver them in the total order <_M. Only labels some
         // predecessor actually sent on can have a non-empty inbox — and
-        // a block's out-labels are always active at its successors — so
-        // ranging over the preds' out-label union instead of the whole
-        // `active` set is observationally identical (the retained
-        // reference interpreter iterates `active`; the equivalence suite
-        // pins this) and keeps delivery cost proportional to traffic,
-        // not to the lifetime label count.
+        // a block's out-labels are always requested at that block or
+        // an ancestor — so ranging over the preds' out-label union instead
+        // of every label requested at an ancestor is observationally
+        // identical (the reference interpreter ranges over the requested
+        // labels; the equivalence suite pins this) and keeps delivery
+        // cost proportional to traffic, not to the lifetime label count.
         let mut sending: BTreeSet<Label> = BTreeSet::new();
         for pred in &preds {
             sending.extend(self.states[pred].outs.keys().copied());
         }
         for label in sending {
-            let mut inbox: BTreeSet<Envelope<P::Message>> = BTreeSet::new();
-            for pred in &preds {
-                if let Some(out) = self.states[pred].outs.get(&label) {
-                    inbox.extend(out.iter().filter(|e| e.receiver == me).cloned());
-                }
-            }
+            let inbox = self.inbox(&preds, label, me);
             if inbox.is_empty() {
                 continue;
             }
@@ -578,7 +536,6 @@ impl<P: DeterministicProtocol> Interpreter<P> {
                 self.stats.messages_delivered += 1;
             }
             touched.insert(label);
-            ins.insert(label, inbox);
         }
 
         // Lines 13–14: surface indications from the instances driven here.
@@ -600,56 +557,55 @@ impl<P: DeterministicProtocol> Interpreter<P> {
         }
 
         // Line 12: I[B] := true.
-        self.states.insert(
-            *block_ref,
-            BlockState {
-                pis,
-                outs,
-                ins,
-                active,
-            },
-        );
+        self.states.insert(*block_ref, BlockState { pis, outs });
         self.order.push(*block_ref);
         self.stats.blocks_interpreted += 1;
         self.release_dependents(block_ref);
         Ok(())
     }
 
-    /// Drops the stored `Ms[in, ·]` buffers of interpreted blocks.
+    /// `B.Ms[in, ℓ]`: the messages delivered to `B.n`'s instance of
+    /// `label` at `block_ref` (Algorithm 2, lines 8–10), in the total order
+    /// `<_M`.
     ///
-    /// In-buffers are kept only for introspection (figure traces, audits);
-    /// the interpretation itself never reads them back, so compaction is
-    /// always safe. Out-buffers and instance states must be retained:
-    /// *any* block — including a byzantine server's — may still reference
-    /// an old block directly (§7 discusses this unbounded-memory
-    /// limitation of the abstraction). Returns the number of envelopes
-    /// dropped.
-    ///
-    /// Compaction is incremental: a watermark into the interpretation
-    /// order skips already-compacted states, so calling this repeatedly
-    /// (e.g. on a timer) costs only the blocks interpreted since the last
-    /// call, and returns 0 in O(1) when there is nothing to drop.
-    pub fn compact(&mut self) -> usize {
-        if self.compacted == self.order.len() {
-            return 0;
-        }
-        let mut dropped = 0;
-        let (order, states) = (&self.order, &mut self.states);
-        for block_ref in &order[self.compacted..] {
-            if let Some(state) = states.get_mut(block_ref) {
-                for (_, ins) in std::mem::take(&mut state.ins) {
-                    dropped += ins.len();
-                }
+    /// Derived on demand from the predecessors' out-buffers through the
+    /// same helper delivery uses, so it equals what was delivered. Empty
+    /// unless `block_ref` is interpreted and present in `dag`.
+    pub fn in_messages(
+        &self,
+        dag: &BlockDag,
+        block_ref: &BlockRef,
+        label: Label,
+    ) -> BTreeSet<Envelope<P::Message>> {
+        match dag.get(block_ref) {
+            Some(block) if self.is_interpreted(block_ref) => {
+                self.inbox(&dag.preds_of(block_ref), label, block.builder())
             }
+            _ => BTreeSet::new(),
         }
-        self.compacted = self.order.len();
-        dropped
+    }
+
+    /// The inbox of `me`'s instance of `label` at a block whose (interpreted)
+    /// predecessors are `preds`: every envelope in their `Ms[out, label]`
+    /// addressed to `me`.
+    fn inbox(
+        &self,
+        preds: &[BlockRef],
+        label: Label,
+        me: ServerId,
+    ) -> BTreeSet<Envelope<P::Message>> {
+        preds
+            .iter()
+            .filter_map(|pred| self.states[pred].outs.get(&label))
+            .flatten()
+            .filter(|envelope| envelope.receiver == me)
+            .cloned()
+            .collect()
     }
 
     /// Approximate memory footprint: stored protocol instances (total map
-    /// entries *and* unique resident allocations), out- and in-envelopes
-    /// across all interpreted blocks. Used by the bounded-memory
-    /// experiments and as the input to compaction policies.
+    /// entries *and* unique resident allocations) and out-envelopes across
+    /// all interpreted blocks. Used by the bounded-memory experiments.
     ///
     /// `instances` is what a clone-per-block interpreter would store;
     /// `unique_instances` is what this interpreter actually keeps —
@@ -671,7 +627,6 @@ impl<P: DeterministicProtocol> Interpreter<P> {
                 }
             }
             footprint.out_envelopes += state.outs.values().map(BTreeSet::len).sum::<usize>();
-            footprint.in_envelopes += state.ins.values().map(BTreeSet::len).sum::<usize>();
         }
         footprint.blocks = self.states.len();
         footprint
@@ -732,7 +687,7 @@ impl From<DecodeError> for SnapshotError {
 }
 
 /// Snapshot format version written by [`Interpreter::encode_snapshot`].
-const SNAPSHOT_VERSION: u8 = 1;
+const SNAPSHOT_VERSION: u8 = 2;
 
 /// Reads a `u64` element count and checks feasibility against the remaining
 /// input (each element needs at least `min_elem_size` bytes), so corrupt
@@ -755,17 +710,18 @@ where
 {
     /// Serializes the complete interpretation state — order, counters, and
     /// every block's state with its copy-on-write structure *preserved*
-    /// (shared maps, instances, and active sets are written once and
-    /// cross-referenced), so a snapshot of a million-block DAG costs what
-    /// is actually resident, not blocks × labels.
+    /// (shared maps and instances are written once and cross-referenced),
+    /// so a snapshot of a million-block DAG costs what is actually
+    /// resident, not blocks × labels.
+    ///
+    /// Format v2: header, order and counters, then table 1 (unique
+    /// instance states), table 2 (unique instance maps) and, per block,
+    /// its map index and out-buffers. A block state is exactly `B.PIs`
+    /// and `B.Ms[out, ·]`, so nothing else needs capturing.
     ///
     /// Must be called at a fixed point ([`Interpreter::step`] returned and
     /// [`Interpreter::drain_indications`] was drained): pending eligibility
     /// bookkeeping and undrained indications are not captured.
-    ///
-    /// The `ins` buffers are deliberately not captured — they are
-    /// introspection-only (see [`Interpreter::compact`]), and a restored
-    /// interpreter behaves like a compacted one.
     pub fn encode_snapshot(&self) -> Vec<u8> {
         debug_assert!(
             self.ready.is_empty() && self.waiting.is_empty(),
@@ -798,10 +754,8 @@ where
         // order, then BTreeMap order) sequence, assigning dense indices.
         let mut map_index: HashMap<*const BTreeMap<Label, Arc<P>>, u64> = HashMap::new();
         let mut instance_index: HashMap<*const P, u64> = HashMap::new();
-        let mut active_index: HashMap<*const BTreeSet<Label>, u64> = HashMap::new();
         let mut instances: Vec<Arc<P>> = Vec::new();
         let mut maps: Vec<SharedInstances<P>> = Vec::new();
-        let mut actives: Vec<Arc<BTreeSet<Label>>> = Vec::new();
         use std::collections::hash_map::Entry;
         for block_ref in &self.order {
             let state = &self.states[block_ref];
@@ -814,10 +768,6 @@ where
                         instances.push(Arc::clone(slot));
                     }
                 }
-            }
-            if let Entry::Vacant(entry) = active_index.entry(Arc::as_ptr(&state.active)) {
-                entry.insert(actives.len() as u64);
-                actives.push(Arc::clone(&state.active));
             }
         }
 
@@ -839,20 +789,11 @@ where
                 instance_index[&Arc::as_ptr(slot)].encode(&mut out);
             }
         }
-        // Table 3: unique active label sets.
-        (actives.len() as u64).encode(&mut out);
-        for active in &actives {
-            (active.len() as u64).encode(&mut out);
-            for label in active.iter() {
-                label.encode(&mut out);
-            }
-        }
-        // Per block, in interpretation order: table cross-references and
+        // Per block, in interpretation order: the map cross-reference and
         // the (per-block by nature) out-buffers.
         for block_ref in &self.order {
             let state = &self.states[block_ref];
             map_index[&Arc::as_ptr(&state.pis)].encode(&mut out);
-            active_index[&Arc::as_ptr(&state.active)].encode(&mut out);
             state.outs.encode(&mut out);
         }
         out
@@ -923,39 +864,19 @@ where
             }
             maps.push(Arc::new(map));
         }
-        let active_count = read_count(&mut reader, 8)?;
-        let mut actives: Vec<Arc<BTreeSet<Label>>> = Vec::with_capacity(active_count);
-        for _ in 0..active_count {
-            let labels = read_count(&mut reader, 8)?;
-            let mut set = BTreeSet::new();
-            for _ in 0..labels {
-                set.insert(Label::decode(&mut reader)?);
-            }
-            actives.push(Arc::new(set));
-        }
 
         let mut states: HashMap<BlockRef, BlockState<P>> = HashMap::with_capacity(covered);
         for block_ref in &order {
             let map_idx = reader.read_u64()? as usize;
-            let active_idx = reader.read_u64()? as usize;
-            let outs: BTreeMap<Label, BTreeSet<Envelope<P::Message>>> =
-                WireDecode::decode(&mut reader)?;
-            states.insert(
-                *block_ref,
-                BlockState {
-                    pis: Arc::clone(maps.get(map_idx).ok_or(SnapshotError::BadIndex)?),
-                    outs,
-                    ins: BTreeMap::new(),
-                    active: Arc::clone(actives.get(active_idx).ok_or(SnapshotError::BadIndex)?),
-                },
-            );
+            let pis = Arc::clone(maps.get(map_idx).ok_or(SnapshotError::BadIndex)?);
+            let outs = WireDecode::decode(&mut reader)?;
+            states.insert(*block_ref, BlockState { pis, outs });
         }
         if reader.remaining() != 0 {
             return Err(SnapshotError::Corrupt(DecodeError::TrailingBytes {
                 remaining: reader.remaining(),
             }));
         }
-        let compacted = order.len();
         let scanned = order.len();
         Ok(Interpreter {
             config,
@@ -963,7 +884,6 @@ where
             order,
             indications: Vec::new(),
             stats,
-            compacted,
             scanned,
             waiting: HashMap::new(),
             dependents: HashMap::new(),
@@ -980,7 +900,7 @@ mod tests {
 
     /// A deterministic ping protocol: on request, send PING to everyone;
     /// on PING, indicate the value once.
-    #[derive(Debug, Clone)]
+    #[derive(Debug, Clone, PartialEq)]
     struct Ping {
         config: ProtocolConfig,
         seen: BTreeSet<u64>,
@@ -1012,6 +932,25 @@ mod tests {
 
         fn drain_indications(&mut self) -> Vec<u64> {
             std::mem::take(&mut self.pending)
+        }
+    }
+
+    impl SnapshotProtocol for Ping {
+        fn encode_state(&self, out: &mut Vec<u8>) {
+            (self.config.n as u64).encode(out);
+            (self.config.f as u64).encode(out);
+            self.seen.encode(out);
+            self.pending.encode(out);
+        }
+
+        fn decode_state(reader: &mut Reader<'_>) -> Result<Self, DecodeError> {
+            let n = reader.read_u64()? as usize;
+            let f = reader.read_u64()? as usize;
+            Ok(Ping {
+                config: ProtocolConfig { n, f },
+                seen: WireDecode::decode(reader)?,
+                pending: WireDecode::decode(reader)?,
+            })
         }
     }
 
@@ -1148,15 +1087,19 @@ mod tests {
         assert_eq!(interpreted, 4);
 
         // b2 (by s1) received PING 7 via the edge b0 ⇀ b2.
-        let state_b2 = interpreter.state(&blocks[2].block_ref()).unwrap();
-        let ins: Vec<_> = state_b2.in_messages(Label::new(1)).collect();
+        let ins: Vec<_> = interpreter
+            .in_messages(&dag, &blocks[2].block_ref(), Label::new(1))
+            .into_iter()
+            .collect();
         assert_eq!(ins.len(), 1);
         assert_eq!(ins[0].receiver, ServerId::new(1));
 
         // b3 (by s0) received its own PING via b0 ⇀ b3 (self-delivery on
         // the next own block).
-        let state_b3 = interpreter.state(&blocks[3].block_ref()).unwrap();
-        let ins3: Vec<_> = state_b3.in_messages(Label::new(1)).collect();
+        let ins3: Vec<_> = interpreter
+            .in_messages(&dag, &blocks[3].block_ref(), Label::new(1))
+            .into_iter()
+            .collect();
         assert_eq!(ins3.len(), 1);
         assert_eq!(ins3[0].receiver, ServerId::new(0));
 
@@ -1203,9 +1146,7 @@ mod tests {
             let outs_a: Vec<_> = state_a.out_messages(label).collect();
             let outs_b: Vec<_> = state_b.out_messages(label).collect();
             assert_eq!(outs_a, outs_b);
-            let ins_a: Vec<_> = state_a.in_messages(label).collect();
-            let ins_b: Vec<_> = state_b.in_messages(label).collect();
-            assert_eq!(ins_a, ins_b);
+            assert_eq!(a.in_messages(&dag, r, label), b.in_messages(&dag, r, label));
         }
         assert_eq!(a.stats().messages_delivered, b.stats().messages_delivered);
     }
@@ -1328,54 +1269,10 @@ mod tests {
     }
 
     #[test]
-    fn compact_drops_only_in_buffers() {
-        let (dag, blocks) = two_server_dag();
-        let mut interpreter: Interpreter<Ping> = Interpreter::new(ProtocolConfig::for_n(2));
-        interpreter.step(&dag);
-
-        let before = interpreter.footprint();
-        assert!(before.in_envelopes > 0);
-        assert!(before.out_envelopes > 0);
-        let dropped = interpreter.compact();
-        assert_eq!(dropped, before.in_envelopes);
-
-        let after = interpreter.footprint();
-        assert_eq!(after.in_envelopes, 0);
-        assert_eq!(after.out_envelopes, before.out_envelopes);
-        assert_eq!(after.instances, before.instances);
-        // Out-buffers still serve future blocks correctly.
-        let state = interpreter.state(&blocks[0].block_ref()).unwrap();
-        assert_eq!(state.out_messages(Label::new(1)).count(), 2);
-    }
-
-    #[test]
-    fn compact_is_incremental_across_calls() {
-        let (dag_full, blocks) = two_server_dag();
-        let mut dag_partial = BlockDag::new();
-        dag_partial.insert(blocks[0].clone()).unwrap();
-        dag_partial.insert(blocks[1].clone()).unwrap();
-
-        let mut interpreter: Interpreter<Ping> = Interpreter::new(ProtocolConfig::for_n(2));
-        interpreter.step(&dag_partial);
-        // Genesis blocks have no preds, hence no in-buffers to drop.
-        assert_eq!(interpreter.compact(), 0);
-        // Re-compacting with no new blocks is a cheap no-op.
-        assert_eq!(interpreter.compact(), 0);
-
-        // Grow the DAG: only the two new blocks are visited, and exactly
-        // their in-envelopes (one each) are dropped.
-        interpreter.step(&dag_full);
-        let before = interpreter.footprint();
-        assert_eq!(interpreter.compact(), before.in_envelopes);
-        assert_eq!(interpreter.compact(), 0);
-        assert_eq!(interpreter.footprint().in_envelopes, 0);
-    }
-
-    #[test]
     fn untouched_blocks_share_state_with_parent() {
         // Chain of 6 blocks, one request at genesis: activity dies out
         // after index 1 (the self-delivered PING), so blocks 2.. share the
-        // whole instance map — and the active set — with their parent.
+        // whole instance map with their parent.
         let (dag, blocks) = single_chain(6);
         let mut interpreter: Interpreter<Ping> = Interpreter::new(ProtocolConfig::for_n(1));
         interpreter.step(&dag);
@@ -1441,20 +1338,137 @@ mod tests {
         let mut interpreter: Interpreter<Ping> = Interpreter::new(ProtocolConfig::for_n(1));
         interpreter.step(&dag);
 
-        let state = interpreter.state(&b1.block_ref()).unwrap();
-        let in1: Vec<_> = state
-            .in_messages(Label::new(1))
-            .map(|e| e.message)
-            .collect();
-        let in2: Vec<_> = state
-            .in_messages(Label::new(2))
-            .map(|e| e.message)
-            .collect();
+        let messages = |label| -> Vec<u64> {
+            interpreter
+                .in_messages(&dag, &b1.block_ref(), label)
+                .into_iter()
+                .map(|e| e.message)
+                .collect()
+        };
+        let (in1, in2) = (messages(Label::new(1)), messages(Label::new(2)));
         assert_eq!(in1, vec![10]);
         assert_eq!(in2, vec![20]);
 
         let indications = interpreter.drain_indications();
         let labels: BTreeSet<_> = indications.iter().map(|i| i.label).collect();
         assert_eq!(labels.len(), 2);
+    }
+
+    /// `n` servers × `rounds` rounds, in insertion (topological) order:
+    /// every block references the whole previous round, and servers
+    /// request a fresh label on alternating rounds, so several labels are
+    /// in flight at once.
+    fn grid_blocks(n: usize, rounds: u64) -> Vec<Block> {
+        let (_, signers) = setup(n);
+        let mut blocks = Vec::new();
+        let mut prev: Vec<BlockRef> = Vec::new();
+        for round in 0..rounds {
+            let layer: Vec<Block> = (0..n)
+                .map(|i| {
+                    let requests = if (round + i as u64).is_multiple_of(2) {
+                        vec![LabeledRequest::encode(
+                            Label::new(round),
+                            &(round * 10 + i as u64),
+                        )]
+                    } else {
+                        vec![]
+                    };
+                    Block::build(
+                        ServerId::new(i as u32),
+                        SeqNum::new(round),
+                        prev.clone(),
+                        requests,
+                        &signers[i],
+                    )
+                })
+                .collect();
+            prev = layer.iter().map(Block::block_ref).collect();
+            blocks.extend(layer);
+        }
+        blocks
+    }
+
+    fn dag_of(blocks: &[Block]) -> BlockDag {
+        let mut dag = BlockDag::new();
+        for block in blocks {
+            dag.insert(block.clone()).unwrap();
+        }
+        dag
+    }
+
+    /// A snapshot of a 3-server grid interpreted to a fixed point.
+    fn grid_snapshot() -> Vec<u8> {
+        let dag = dag_of(&grid_blocks(3, 6));
+        let mut interpreter: Interpreter<Ping> = Interpreter::new(ProtocolConfig::for_n(3));
+        interpreter.step(&dag);
+        interpreter.drain_indications();
+        interpreter.encode_snapshot()
+    }
+
+    #[test]
+    fn snapshot_reencodes_byte_identically() {
+        let bytes = grid_snapshot();
+        let restored: Interpreter<Ping> =
+            Interpreter::decode_snapshot(ProtocolConfig::for_n(3), &bytes).unwrap();
+        assert_eq!(restored.encode_snapshot(), bytes);
+    }
+
+    #[test]
+    fn restored_interpreter_matches_original_on_grown_dag() {
+        let blocks = grid_blocks(3, 8);
+        let (prefix, full) = (dag_of(&blocks[..12]), dag_of(&blocks));
+        let config = ProtocolConfig::for_n(3);
+        let mut original: Interpreter<Ping> = Interpreter::new(config);
+        original.step(&prefix);
+        original.drain_indications();
+        let mut restored: Interpreter<Ping> =
+            Interpreter::decode_snapshot(config, &original.encode_snapshot()).unwrap();
+
+        assert_eq!(original.step(&full), 12);
+        assert_eq!(restored.step(&full), 12);
+        assert_eq!(original.stats(), restored.stats());
+        let indications = original.drain_indications();
+        assert!(!indications.is_empty());
+        assert_eq!(indications, restored.drain_indications());
+        assert_eq!(original.interpreted_order(), restored.interpreted_order());
+        for r in full.refs() {
+            let (a, b) = (original.state(r).unwrap(), restored.state(r).unwrap());
+            let labels: Vec<_> = a.instance_labels().copied().collect();
+            assert_eq!(labels, b.instance_labels().copied().collect::<Vec<_>>());
+            for label in (0..8).map(Label::new) {
+                assert_eq!(a.instance(label), b.instance(label));
+                assert!(a.out_messages(label).eq(b.out_messages(label)));
+                assert_eq!(
+                    original.in_messages(&full, r, label),
+                    restored.in_messages(&full, r, label)
+                );
+            }
+        }
+        // Sharing survives the round trip: restored states that shared a
+        // map before the snapshot still do.
+        assert_eq!(original.footprint(), restored.footprint());
+    }
+
+    #[test]
+    fn version_1_snapshot_is_rejected() {
+        let mut bytes = grid_snapshot();
+        bytes[0] = 1;
+        assert!(matches!(
+            Interpreter::<Ping>::decode_snapshot(ProtocolConfig::for_n(3), &bytes),
+            Err(SnapshotError::UnsupportedVersion(1))
+        ));
+    }
+
+    #[test]
+    fn every_truncated_snapshot_is_an_error() {
+        let bytes = grid_snapshot();
+        for len in 0..bytes.len() {
+            assert!(
+                Interpreter::<Ping>::decode_snapshot(ProtocolConfig::for_n(3), &bytes[..len])
+                    .is_err(),
+                "prefix of {len} of {} bytes decoded",
+                bytes.len()
+            );
+        }
     }
 }

@@ -293,17 +293,10 @@ impl<P: DeterministicProtocol> Shim<P> {
     }
 
     /// The interpreter's memory footprint — total vs unique instances
-    /// (the structural-sharing win), out- and in-envelopes. See
+    /// (the structural-sharing win) and out-envelopes. See
     /// [`Interpreter::footprint`].
     pub fn footprint(&self) -> InterpreterFootprint {
         self.interpreter.footprint()
-    }
-
-    /// Drops the interpreter's introspection-only in-buffers
-    /// ([`Interpreter::compact`]); incremental, safe to call on a timer.
-    /// Returns the number of envelopes dropped.
-    pub fn compact(&mut self) -> usize {
-        self.interpreter.compact()
     }
 
     /// `request(ℓ, r)`: buffer a user request for instance `ℓ`
@@ -927,7 +920,7 @@ mod tests {
     }
 
     #[test]
-    fn footprint_and_compact_surface_sharing() {
+    fn footprint_surfaces_sharing() {
         let registry = KeyRegistry::generate(1, 3);
         let config = ShimConfig::new(ProtocolConfig::for_n(1));
         let mut shim: Shim<Flood> = Shim::new(ServerId::new(0), config, &registry).unwrap();
@@ -945,11 +938,7 @@ mod tests {
             footprint.unique_instances,
             footprint.instances
         );
-        let dropped = shim.compact();
-        assert_eq!(dropped, footprint.in_envelopes);
-        assert_eq!(shim.compact(), 0, "second compaction is a no-op");
-        assert_eq!(shim.footprint().in_envelopes, 0);
-        // Interpretation still extends correctly after compaction.
+        // Interpretation keeps extending the shared state.
         shim.disseminate(12);
         assert_eq!(shim.footprint().blocks, 13);
     }

@@ -202,10 +202,6 @@ fn assert_equivalent(dag: &BlockDag, pick_seed: u64) {
         let labels_shared: Vec<Label> = shared.instance_labels().copied().collect();
         assert_eq!(&labels_naive, &labels_shared, "instance labels at {}", r);
 
-        let active_naive: Vec<Label> = naive.active_labels().copied().collect();
-        let active_shared: Vec<Label> = shared.active_labels().copied().collect();
-        assert_eq!(active_naive, active_shared, "active labels at {}", r);
-
         for label in labels_naive {
             // Bit-identical instance state: Relay derives PartialEq over
             // its entire state.
@@ -221,9 +217,21 @@ fn assert_equivalent(dag: &BlockDag, pick_seed: u64) {
             let outs_naive: Vec<_> = naive.out_messages(label).collect();
             let outs_shared: Vec<_> = shared.out_messages(label).collect();
             assert_eq!(outs_naive, outs_shared, "out buffers {} at {}", label, r);
-            let ins_naive: Vec<_> = naive.in_messages(label).collect();
-            let ins_shared: Vec<_> = shared.in_messages(label).collect();
+            // Line 7 oracle: the reference stores the in-buffer it built
+            // over its `active` set; production derives it from the preds'
+            // out-buffers. They must agree, and every label with a
+            // non-empty derived inbox must be active in the reference.
+            let ins_naive: BTreeSet<_> = naive.in_messages(label).cloned().collect();
+            let ins_shared = cow.in_messages(dag, r, label);
             assert_eq!(ins_naive, ins_shared, "in buffers {} at {}", label, r);
+            if !ins_shared.is_empty() {
+                assert!(
+                    naive.active_labels().any(|l| *l == label),
+                    "label {} delivered at {} but not active in the reference",
+                    label,
+                    r
+                );
+            }
         }
     }
 

@@ -152,13 +152,13 @@ fn figure_4(rounds: u64) -> (BlockDag, Vec<Vec<Block>>) {
 
 fn in_senders(
     interpreter: &Interpreter<Brb<u64>>,
+    dag: &BlockDag,
     block: &Block,
     expect_echo: bool,
 ) -> BTreeSet<usize> {
     interpreter
-        .state(&block.block_ref())
-        .unwrap()
-        .in_messages(Label::new(1))
+        .in_messages(dag, &block.block_ref(), Label::new(1))
+        .into_iter()
         .filter(|e| matches!(e.message, BrbMessage::Echo(_)) == expect_echo)
         .map(|e| e.sender.index())
         .collect()
@@ -186,7 +186,7 @@ fn fig4_buffers_round_by_round() {
     // Round 0: B1 (s0) has out = ECHO 42 to {s0..s3}; in = ∅. Others: ∅/∅.
     let b1 = &layers[0][0];
     assert_eq!(out_kinds(&interpreter, b1), (4, 0));
-    assert!(in_senders(&interpreter, b1, true).is_empty());
+    assert!(in_senders(&interpreter, &dag, b1, true).is_empty());
     for block in &layers[0][1..] {
         assert_eq!(out_kinds(&interpreter, block), (0, 0));
     }
@@ -196,7 +196,7 @@ fn fig4_buffers_round_by_round() {
     // (the figure's "ECHO 42 from {s1}" wave).
     for (index, block) in layers[1].iter().enumerate() {
         assert_eq!(
-            in_senders(&interpreter, block, true),
+            in_senders(&interpreter, &dag, block, true),
             [0].into_iter().collect(),
             "round 1 in-buffer of s{index}"
         );
@@ -208,7 +208,7 @@ fn fig4_buffers_round_by_round() {
     // quorum — so out = READY 42 to all (the figure's READY wave).
     for (index, block) in layers[2].iter().enumerate() {
         assert_eq!(
-            in_senders(&interpreter, block, true),
+            in_senders(&interpreter, &dag, block, true),
             [1, 2, 3].into_iter().collect(),
             "round 2 in-buffer of s{index}"
         );
@@ -219,7 +219,7 @@ fn fig4_buffers_round_by_round() {
     // every simulated server.
     for (index, block) in layers[3].iter().enumerate() {
         assert_eq!(
-            in_senders(&interpreter, block, false),
+            in_senders(&interpreter, &dag, block, false),
             [0, 1, 2, 3].into_iter().collect(),
             "round 3 in-buffer of s{index}"
         );
@@ -280,15 +280,6 @@ fn fig4_long_tail_shares_interpreter_state() {
         "sharing must be visible: {} unique of {} total",
         footprint.unique_instances,
         footprint.instances
-    );
-    // Compaction drops exactly the in-envelopes, once.
-    let dropped = interpreter.compact();
-    assert_eq!(dropped, footprint.in_envelopes);
-    assert_eq!(interpreter.compact(), 0);
-    assert_eq!(interpreter.footprint().in_envelopes, 0);
-    assert_eq!(
-        interpreter.footprint().out_envelopes,
-        footprint.out_envelopes
     );
 }
 
