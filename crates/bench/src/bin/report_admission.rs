@@ -14,7 +14,8 @@
 //! 2. **Hostile burst admission** — a 1–4k-block burst (three honest
 //!    chains, an equivocating pair, a permanently invalid two-parent
 //!    child with a stranded descendant, and a tampered-signature flood)
-//!    delivered in reverse and shuffled order to fresh gossip instances
+//!    delivered one `on_block` at a time (each a one-block burst
+//!    bracket) in reverse and shuffled order to fresh gossip instances
 //!    under all three [`AdmissionMode`]s. Every run fingerprints the
 //!    promotion order, stats, rejections, pending set, and the next own
 //!    block's wire bytes; the engines must agree bit-for-bit (asserted
@@ -23,16 +24,20 @@
 //! 3. **Cross-cascade burst admission** — the parallel trajectory: a
 //!    wide hostile burst (`authors` chained builders per round, tampered
 //!    signatures, an equivocation with a permanently invalid child)
-//!    delivered causally — the wave-starving case: per-message ingest
-//!    produces width-1 waves — and in reverse, through one
+//!    delivered causally — the wave-starving case: one-block brackets
+//!    produce width-1 waves — and in reverse, through one
 //!    `on_block_burst` bracket, under `Index` and `Parallel {1, 2, 4}`,
 //!    at two signature prices (`sig_cost` 1 = the raw HMAC stand-in,
 //!    where bookkeeping dominates; a calibrated chain that prices a
 //!    verification like the ed25519-class schemes the stand-in
-//!    replaces). `--check` pins three things: the structural widening
-//!    (burst waves = full round width while per-message waves are ~1) on
-//!    every machine; burst ingest ≥ 1.2× incremental ingest on reverse
-//!    wide bursts (same thread count — machine-independent); and
+//!    replaces). The "incremental" columns (`incremental_bps`,
+//!    `incremental_mean_wave`, `burst_over_incremental`) are that same
+//!    schedule delivered one `on_block` at a time — one-block brackets;
+//!    the JSON keys keep their historical names. `--check` pins three
+//!    things: the structural widening (burst waves = full round width
+//!    while one-block-bracket waves are ~1) on every machine; one
+//!    bracket ≥ 1.2× one-block brackets on reverse wide bursts (same
+//!    thread count — machine-independent); and
 //!    `Parallel{2} ≥ 1.2× Index` wall-clock at calibrated signature
 //!    prices on machines with enough cores for the overlap to exist (the
 //!    JSON records `cores` so the committed snapshot is interpretable).
@@ -598,10 +603,11 @@ impl TrajectoryRow {
     }
 }
 
-/// Runs the burst trajectory for one width: incremental Index (the
-/// starved baseline), bracketed Index, bracketed Parallel at 1/2/4
-/// workers, and one bracketed Scan pass as the equivalence oracle.
-/// Returns one row per worker count plus the width's wave histogram.
+/// Runs the burst trajectory for one width: Index over one-block
+/// brackets (the starved baseline), bracketed Index, bracketed Parallel
+/// at 1/2/4 workers, and one bracketed Scan pass as the equivalence
+/// oracle. Returns one row per worker count plus the width's wave
+/// histogram.
 fn measure_trajectory(
     authors: usize,
     rounds: u64,
@@ -845,8 +851,8 @@ fn check_trajectory(rows: &[TrajectoryRow], json: &str) -> Result<(), String> {
         }
     }
     // Structural widening gates — machine-independent: in-order delivery
-    // starves per-message waves to width ~1, while the burst bracket
-    // restores the full round width.
+    // starves one-block-bracket waves to width ~1, while one bracket
+    // over the whole burst restores the full round width.
     for row in rows
         .iter()
         .filter(|row| row.width >= 64 && row.order == "causal")
@@ -865,7 +871,7 @@ fn check_trajectory(rows: &[TrajectoryRow], json: &str) -> Result<(), String> {
         }
         if row.incremental_mean_wave > 2.0 {
             return Err(format!(
-                "width {}: per-message ingest unexpectedly wide ({:.2}) — \
+                "width {}: one-block brackets unexpectedly wide ({:.2}) — \
                  the trajectory no longer isolates the deferral win",
                 row.width, row.incremental_mean_wave
             ));
@@ -873,7 +879,7 @@ fn check_trajectory(rows: &[TrajectoryRow], json: &str) -> Result<(), String> {
     }
     // Machine-independent wall-clock gate: on hostile (reverse) wide
     // bursts, the deferred single-pass dependency analysis must beat the
-    // incremental engine's per-delivery index churn — same thread count,
+    // incremental gear's per-delivery index churn — same thread count,
     // same verification work, so the ratio holds on any hardware.
     let reverse_wide = rows
         .iter()
@@ -1041,8 +1047,8 @@ fn main() {
          rows pin all three admission engines to bit-identical promotion\n\
          fingerprints on equivocating, tampered-signature, out-of-order\n\
          floods. The cross-cascade trajectory shows what deferral buys: on\n\
-         in-order wide bursts, per-message ingest verifies width-1 waves\n\
-         (incr wave), while one admission bracket restores full-round waves\n\
+         in-order wide bursts, one-block brackets verify width-1 waves\n\
+         (incr wave), while one bracket per burst restores full-round waves\n\
          (mean wave) — the unit of work the parallel pool needs. Whether\n\
          Parallel{{2}} then beats Index (par/idx) is a hardware fact; the\n\
          cores field in the JSON says what this machine could show.\n"

@@ -9,10 +9,13 @@
 //!    re-serializes the block field-by-field per recipient, which is what
 //!    every send paid before the cache existed.
 //! 2. **Admission burst** — deliver a `B`-block chain in reverse and in
-//!    shuffled order to a fresh gossip instance, once per admission engine.
-//!    The incremental reverse-dependency index costs O(B · preds); the
-//!    retained scan engine is the paper-literal O(B²) fixed-point rescan.
-//!    Both runs are asserted to produce identical DAGs in identical order.
+//!    shuffled order to a fresh gossip instance, one `on_block` (a
+//!    one-block burst bracket) at a time, once per admission engine. The
+//!    index engine's incremental reverse-dependency index costs
+//!    O(B · preds); the retained scan engine is the paper-literal O(B²)
+//!    fixed-point rescan. Both runs are asserted to produce identical
+//!    DAGs in identical order. The `incremental_blocks_per_sec` key keeps
+//!    its historical name for the index engine's rate.
 //!
 //! The final stdout line is a single machine-readable JSON object
 //! (`BENCH_wire.json` is a checked-in snapshot of it from a fixed-seed

@@ -19,71 +19,65 @@
 //! event loop) to execute. Time is passed in explicitly and is only used to
 //! pace `FWD` retransmissions (the paper's timer `Δ_B'`).
 //!
+//! # Admission bursts
+//!
+//! Admission has one procedure, the *burst* bracket. [`Gossip::begin_burst`]
+//! opens it; inside, `on_block` only dedups and buffers (O(1) per block —
+//! no verification, no promotion, no per-predecessor bookkeeping).
+//! [`Gossip::end_burst`] then computes the ready frontier across
+//! everything buffered, verifies it wave by wave — each wave ordered by
+//! `(builder, seq, ref)` so same-builder runs are contiguous for the
+//! verifier — promotes in that canonical order, enforces the pending cap
+//! and emits due `FWD` requests. [`Gossip::on_block_burst`] wraps the
+//! bracket for slice-shaped callers (the shim's ingest loop, the
+//! simulator's burst delivery, the transport's channel drain); an
+//! unbracketed [`Gossip::on_block`] is a burst of one.
+//!
+//! `end_burst` finds the frontier in one of two byte-equivalent gears.
+//! When the burst is a large share of the buffer, one dependency-analysis
+//! pass builds missing counts and a reverse adjacency over the whole
+//! buffer, and the incremental index is rebuilt for whatever survives.
+//! A small burst against a large backlog indexes just its arrivals into
+//! the maintained reverse dependency index — pending block → missing
+//! predecessors, missing predecessor → waiting blocks — so per-bracket
+//! cost stays O(burst · preds).
+//!
 //! # Admission engines
 //!
-//! Buffered-block admission (the promotion of `blks` entries into `G`) has
-//! three interchangeable engines, selected by [`AdmissionMode`]:
+//! The engines share the wave schedule and differ only in how a wave's
+//! signatures are checked, selected by [`AdmissionMode`]:
 //!
-//! * [`AdmissionMode::Index`] (the default) maintains a reverse
-//!   dependency index — pending block → still-missing predecessors, missing
-//!   predecessor → waiting blocks — so admitting a burst of `B` buffered
-//!   blocks costs O(B · preds) map operations. Each *wave* of
-//!   simultaneously ready blocks is signature-checked in one
+//! * [`AdmissionMode::Index`] (the default) checks each wave in one
 //!   [`BatchVerifier`] pass over the cached `ref(B)` digests, amortizing
-//!   the per-verification key setup (the paper's batch-signature economics,
-//!   §4/E6).
-//! * [`AdmissionMode::Parallel`] is the index engine with each wave's
-//!   batched verification split across a fixed pool of worker threads
-//!   over crossbeam channels. The split is synchronous — promotion waits
-//!   for all verdicts — so it pays off only when waves are wide enough
-//!   for multi-core verification to beat the single-threaded batch (per
-//!   chunk dispatch costs a channel round-trip; on the narrow waves of
-//!   chain-shaped bursts the `Index` engine is faster). Verdicts are
-//!   reassembled in submission order before any state changes, so
+//!   the per-verification key setup (the paper's batch-signature
+//!   economics, §4/E6).
+//! * [`AdmissionMode::Parallel`] pipelines each wave across a fixed pool
+//!   of worker threads over crossbeam channels: the event-loop thread
+//!   settles blocks of one chunk while workers verify the next. It pays
+//!   off only when waves are wide enough to amortize the per-chunk
+//!   channel round-trip. Verdicts are consumed in submission order, so
 //!   promotion order — and every byte that is later hashed and signed —
 //!   is identical to the sequential engines regardless of worker
 //!   scheduling.
-//! * [`AdmissionMode::Scan`] is the paper-literal fixed-point rescan
+//! * [`AdmissionMode::Scan`] recomputes readiness by rescanning the buffer
 //!   (O(pending²) on adversarial orderings) with one signature check per
 //!   candidate, retained as the equivalence oracle: tests and the
 //!   `report_wire`/`report_admission` benches drive all engines with
 //!   identical hostile schedules and assert identical DAGs, promotion
 //!   orders, stats, and `FWD` traffic.
 //!
-//! # Deferred admission bursts
-//!
-//! Waves are only as wide as the ready set at verification time, and
-//! per-message ingest keeps that set narrow: a chain delivered in order
-//! promotes one block per [`Gossip::on_block`], so every wave has width 1
-//! and the parallel pool starves. The *burst* path widens the unit of
-//! work from "one cascade's ready wave" to "one whole admission burst":
-//! [`Gossip::begin_burst`] opens a bracket in which `on_block` only
-//! dedups and buffers (O(1) per block — no verification, no promotion,
-//! no per-predecessor bookkeeping), and [`Gossip::end_burst`] then runs
-//! *one* dependency-analysis pass over the whole buffer (missing
-//! counts + reverse adjacency), computes the full ready frontier
-//! *across all cascades*, verifies it wave by wave — each wave ordered
-//! by `(builder, seq, ref)` so same-builder runs are contiguous for the
-//! verifier — and promotes in that canonical order, rebuilding the
-//! incremental index for whatever survives. [`Gossip::on_block_burst`]
-//! wraps the bracket for slice-shaped callers (the shim's ingest loop,
-//! the simulator's burst delivery, the transport's channel drain).
-//!
-//! Burst promotion is deterministic and byte-identical across all three
-//! engines (they share the wave schedule and differ only in verification
-//! dispatch: per-candidate under `Scan`, one [`BatchVerifier`] pass per
-//! wave under `Index`, pipelined pool fan-out under `Parallel`, which
-//! overlaps in-flight verification with promotion bookkeeping). Relative
-//! to per-message ingest the *outcome* — admitted blocks, rejections,
-//! validation counts — is identical as well (the promotion fixed point is
-//! confluent); only the order in which the current block references the
-//! newly admitted blocks, and the `FWD` traffic for gaps resolved within
-//! the burst, may differ.
+//! How deliveries are grouped into brackets does not change the
+//! *outcome* — admitted blocks, rejections, validation counts — because
+//! the promotion fixed point is confluent; only the order in which the
+//! current block references newly admitted blocks, and the `FWD` traffic
+//! for gaps resolved within a bracket, may differ. Waves are only as wide
+//! as the ready set, so one-block brackets of a chain delivered in order
+//! verify width-1 waves; whole ingest batches are what feed the pool.
 //!
 //! # Pending-buffer cap
 //!
 //! The `blks` buffer is bounded by [`GossipConfig::pending_cap`]: once
-//! admission (per-message or burst) has settled, the buffer is trimmed to
+//! a burst has settled, the buffer is trimmed to
 //! the cap by deterministic eviction — oldest *never-promotable* block
 //! first (one referencing an already rejected predecessor), then oldest
 //! overall. Each eviction emits an [`EvictionEvent`] and re-lists the
@@ -347,8 +341,9 @@ pub struct EvictionEvent {
     pub stranded_on: Option<BlockRef>,
 }
 
-/// Counters for the wave-batched verification pipeline (index engines
-/// only; the scan oracle verifies per candidate and leaves these zero).
+/// Counters for the wave-batched verification pipeline (the scan oracle
+/// verifies per candidate and leaves the wave counters zero; the burst
+/// counters are recorded by every engine).
 ///
 /// Deliberately *not* part of [`GossipStats`]: that struct is asserted
 /// equal across admission engines by the equivalence tests, and waves are
@@ -364,7 +359,8 @@ pub struct WaveStats {
     pub largest_wave: usize,
     /// Size of the smallest wave (0 until the first wave is recorded).
     pub smallest_wave: usize,
-    /// Deferred-admission brackets processed (`begin_burst`/`end_burst`;
+    /// Deferred-admission brackets processed (`begin_burst`/`end_burst`,
+    /// including the one-block bracket of an unbracketed `on_block`;
     /// recorded by every engine, including the scan oracle — burst shape
     /// is an ingest property, not a batching one).
     pub bursts: u64,
@@ -443,8 +439,8 @@ type VerifyVerdicts = (usize, Vec<bool>);
 /// A fixed pool of signature-verification workers fed over crossbeam
 /// channels ([`AdmissionMode::Parallel`]).
 ///
-/// The event-loop thread splits a wave into at most `workers` contiguous
-/// chunks, the pool verifies them concurrently (each worker runs
+/// The event-loop thread splits a wave into contiguous chunks, the pool
+/// verifies them concurrently (each worker runs
 /// [`BatchVerifier::verify_batch`] on whole chunks), and verdicts are
 /// reassembled by chunk slot — the output is a pure function of the input
 /// order, never of thread scheduling.
@@ -494,31 +490,6 @@ impl VerifyPool {
             workers,
             handles,
         }
-    }
-
-    /// Verifies `items` across the pool; verdicts come back in item order.
-    fn verify(&self, items: &[SignedDigest]) -> Vec<bool> {
-        if items.is_empty() {
-            return Vec::new();
-        }
-        let jobs = self.jobs.as_ref().expect("pool alive");
-        let chunk_len = items.len().div_ceil(self.workers);
-        let mut slots = 0;
-        for (slot, chunk) in items.chunks(chunk_len).enumerate() {
-            jobs.send(VerifyJob::Verify(slot, chunk.to_vec()))
-                .expect("workers alive");
-            slots += 1;
-        }
-        let mut by_slot: Vec<Option<Vec<bool>>> = vec![None; slots];
-        for _ in 0..slots {
-            let (slot, verdicts) = self.verdicts.recv().expect("workers alive");
-            by_slot[slot] = Some(verdicts);
-        }
-        by_slot
-            .into_iter()
-            .map(|chunk| chunk.expect("every slot answered"))
-            .collect::<Vec<_>>()
-            .concat()
     }
 
     /// Dispatches `items` across the pool in small chunks and returns a
@@ -736,7 +707,11 @@ impl Gossip {
     /// Creates a gossip instance for server `me`.
     pub fn new(me: ServerId, config: GossipConfig, signer: Signer, verifier: Verifier) -> Self {
         debug_assert_eq!(signer.id(), me);
-        let (batch_verifier, pool) = Self::verification_engine(config.admission, &verifier);
+        let batch_verifier = verifier.batch();
+        let pool = match config.admission {
+            AdmissionMode::Parallel { workers } => Some(VerifyPool::new(workers, &batch_verifier)),
+            AdmissionMode::Index | AdmissionMode::Scan => None,
+        };
         Gossip {
             me,
             config,
@@ -761,20 +736,6 @@ impl Gossip {
             defense: PeerDefense::new(config.defense),
             clock: 0,
         }
-    }
-
-    /// Builds the admission-mode-specific verification machinery: the
-    /// batch handle always, the worker pool only for parallel admission.
-    fn verification_engine(
-        admission: AdmissionMode,
-        verifier: &Verifier,
-    ) -> (BatchVerifier, Option<VerifyPool>) {
-        let batch_verifier = verifier.batch();
-        let pool = match admission {
-            AdmissionMode::Parallel { workers } => Some(VerifyPool::new(workers, &batch_verifier)),
-            AdmissionMode::Index | AdmissionMode::Scan => None,
-        };
-        (batch_verifier, pool)
     }
 
     /// Resumes gossip from a persisted DAG after a crash (§7
@@ -825,31 +786,10 @@ impl Gossip {
                 current_preds.push(*block_ref);
             }
         }
-        let (batch_verifier, pool) = Self::verification_engine(config.admission, &verifier);
-        let mut gossip = Gossip {
-            me,
-            config,
-            signer,
-            verifier,
-            dag,
-            next_seq,
-            current_preds,
-            pending: BTreeMap::new(),
-            waiters: BTreeMap::new(),
-            missing: BTreeMap::new(),
-            rejected: Vec::new(),
-            stranded_refs: BTreeSet::new(),
-            stats: GossipStats::default(),
-            batch_verifier,
-            pool,
-            wave_stats: WaveStats::default(),
-            arrivals: 0,
-            eviction_queue: BTreeSet::new(),
-            evictions: Vec::new(),
-            burst: None,
-            defense: PeerDefense::new(config.defense),
-            clock: 0,
-        };
+        let mut gossip = Gossip::new(me, config, signer, verifier);
+        gossip.dag = dag;
+        gossip.next_seq = next_seq;
+        gossip.current_preds = current_preds;
         // Re-derive the durable score component from the recovered DAG:
         // every equivocation provable from `G` before the crash is
         // provable from it now (`recovery::persist_dag` round-trips the
@@ -892,7 +832,8 @@ impl Gossip {
         &self.stats
     }
 
-    /// Wave-batched verification counters (zero under the scan oracle).
+    /// Wave-batched verification counters (waves stay zero under the scan
+    /// oracle).
     pub fn wave_stats(&self) -> &WaveStats {
         &self.wave_stats
     }
@@ -963,10 +904,11 @@ impl Gossip {
 
     /// Handles a received block (lines 4–11).
     ///
-    /// Inside a [`Gossip::begin_burst`] bracket this only buffers and
-    /// indexes the block (returning no commands); promotion,
-    /// verification, cap enforcement, and `FWD` emission are deferred to
-    /// [`Gossip::end_burst`].
+    /// Inside a [`Gossip::begin_burst`] bracket this only buffers the
+    /// block (returning no commands); promotion, verification, cap
+    /// enforcement, and `FWD` emission are deferred to
+    /// [`Gossip::end_burst`]. Outside a bracket the block is admitted as
+    /// a burst of one.
     pub fn on_block(&mut self, block: Block, now: TimeMs) -> Vec<NetCommand> {
         let from = block.builder();
         self.on_block_from(from, block, now)
@@ -1000,24 +942,9 @@ impl Gossip {
             self.buffer_for_burst(from, block_ref, block);
             return Vec::new();
         }
-        match self.config.admission {
-            AdmissionMode::Index | AdmissionMode::Parallel { .. } => {
-                self.admit_indexed(from, block_ref, block)
-            }
-            AdmissionMode::Scan => {
-                self.insert_pending(from, block_ref, block, BTreeSet::new());
-                self.promote_pending_scan();
-                self.refresh_missing_scan();
-            }
-        }
-        let evicted = self.enforce_pending_cap() + self.enforce_deprioritized_allowance();
-        if evicted > 0 && self.config.admission == AdmissionMode::Scan {
-            // Eviction changed the pending set; rebuild the FWD index the
-            // scan way so traffic matches the index engines' inline
-            // bookkeeping.
-            self.refresh_missing_scan();
-        }
-        self.collect_fwd_commands(now)
+        self.begin_burst();
+        self.buffer_for_burst(from, block_ref, block);
+        self.end_burst(now)
     }
 
     /// Charges one offense to `peer` at the current logical clock (no-op
@@ -1031,9 +958,8 @@ impl Gossip {
     }
 
     /// Opens a deferred-admission bracket: subsequent
-    /// [`Gossip::on_block`] calls only index, and [`Gossip::end_burst`]
-    /// runs one cross-cascade promotion over everything received (see
-    /// the module docs).
+    /// [`Gossip::on_block`] calls only buffer, and [`Gossip::end_burst`]
+    /// promotes everything received in one pass (see the module docs).
     ///
     /// # Panics
     ///
@@ -1044,7 +970,7 @@ impl Gossip {
     }
 
     /// Closes the deferred-admission bracket: computes the full ready
-    /// frontier across all cascades, verifies it wave by wave in
+    /// frontier over the pending buffer, verifies it wave by wave in
     /// `(builder, seq, ref)` order, promotes, enforces the pending cap,
     /// and emits any due `FWD` requests.
     ///
@@ -1076,6 +1002,9 @@ impl Gossip {
         self.wave_stats.burst_blocks += burst.arrived.len() as u64;
         let evicted = self.enforce_pending_cap() + self.enforce_deprioritized_allowance();
         if evicted > 0 && self.config.admission == AdmissionMode::Scan {
+            // Eviction changed the pending set; rebuild the FWD index the
+            // scan way so traffic matches the index engines' inline
+            // bookkeeping.
             self.refresh_missing_scan();
         }
         self.collect_fwd_commands(now)
@@ -1094,35 +1023,27 @@ impl Gossip {
         now: TimeMs,
     ) -> Vec<NetCommand> {
         self.begin_burst();
-        if self.pool.is_some() {
-            let blocks: Vec<Block> = blocks.into_iter().collect();
-            self.pool
-                .as_ref()
-                .expect("checked above")
-                .hash_blocks(&blocks);
-            for block in blocks {
-                let commands = self.on_block(block, now);
-                debug_assert!(commands.is_empty(), "bracketed on_block defers commands");
-            }
-        } else {
-            for block in blocks {
-                let commands = self.on_block(block, now);
-                debug_assert!(commands.is_empty(), "bracketed on_block defers commands");
-            }
+        let blocks: Vec<Block> = blocks.into_iter().collect();
+        if let Some(pool) = &self.pool {
+            pool.hash_blocks(&blocks);
+        }
+        for block in blocks {
+            let commands = self.on_block(block, now);
+            debug_assert!(commands.is_empty(), "bracketed on_block defers commands");
         }
         self.end_burst(now)
     }
 
     /// Buffers one block inside a burst bracket — O(1) beyond the insert:
-    /// no verification, no promotion, and (unlike per-message indexing)
-    /// no per-predecessor bookkeeping. The whole burst's dependency
-    /// analysis happens once, in [`Gossip::end_burst`]'s single pass.
+    /// no verification, no promotion, and no per-predecessor bookkeeping.
+    /// The whole burst's dependency analysis happens once, in
+    /// [`Gossip::end_burst`].
     fn buffer_for_burst(&mut self, from: ServerId, block_ref: BlockRef, block: Block) {
         // The block is no longer wanted from the network (the FWD view
         // is rebuilt wholesale at `end_burst`; dropping the entry early
         // keeps the map small).
         self.missing.remove(&block_ref);
-        self.insert_pending(from, block_ref, block, BTreeSet::new());
+        self.insert_pending(from, block_ref, block);
         self.burst
             .as_mut()
             .expect("bracket open")
@@ -1180,60 +1101,9 @@ impl Gossip {
         (block, commands)
     }
 
-    /// Indexed admission: index the new block's missing predecessors, or
-    /// promote it — and cascade through its waiters — if none are
-    /// missing. Equivalent to the scan engine (see `promote_pending_scan`)
-    /// but costs O(preds · log) per block instead of a full-buffer rescan.
-    fn admit_indexed(&mut self, from: ServerId, block_ref: BlockRef, block: Block) {
-        if self.index_block(from, block_ref, block) {
-            self.promote_cascade(block_ref);
-        }
-    }
-
-    /// Buffers `block` and indexes its missing predecessors (reverse
-    /// dependency index plus `FWD` bookkeeping); returns whether the
-    /// block is immediately ready for promotion.
-    fn index_block(&mut self, from: ServerId, block_ref: BlockRef, block: Block) -> bool {
-        // The block is no longer wanted from the network: it is now either
-        // pending (indexed below) or about to be promoted.
-        self.missing.remove(&block_ref);
-        let missing: BTreeSet<BlockRef> = block
-            .preds()
-            .iter()
-            .filter(|p| !self.dag.contains(p))
-            .copied()
-            .collect();
-        let ready = missing.is_empty();
-        for pred in &missing {
-            self.waiters.entry(*pred).or_default().insert(block_ref);
-            // Request the predecessor from the network unless it is already
-            // buffered (then its own admission is what we're waiting for).
-            if !self.pending.contains_key(pred) {
-                self.missing
-                    .entry(*pred)
-                    .and_modify(|state| {
-                        state.candidates.insert(block.builder());
-                    })
-                    .or_insert_with(|| FwdState {
-                        candidates: BTreeSet::from([block.builder()]),
-                        last_sent: None,
-                        attempts: 0,
-                    });
-            }
-        }
-        self.insert_pending(from, block_ref, block, missing);
-        ready
-    }
-
     /// Inserts a block into the pending buffer, stamping its arrival and
     /// mirroring it into the eviction queue.
-    fn insert_pending(
-        &mut self,
-        from: ServerId,
-        block_ref: BlockRef,
-        block: Block,
-        missing: BTreeSet<BlockRef>,
-    ) {
+    fn insert_pending(&mut self, from: ServerId, block_ref: BlockRef, block: Block) {
         let arrival = self.arrivals;
         self.arrivals += 1;
         let stranded = block.preds().iter().any(|p| self.stranded_refs.contains(p));
@@ -1250,7 +1120,7 @@ impl Gossip {
             PendingBlock {
                 block,
                 from,
-                missing,
+                missing: BTreeSet::new(),
                 arrival,
                 stranded,
                 rank,
@@ -1260,13 +1130,12 @@ impl Gossip {
         if stranded {
             // Publish the doom (later arrivals citing this block strand
             // at insertion) and re-rank earlier-arrived waiters, which
-            // are doomed too. Inside an index-engine bracket the waiters
-            // walk is deferred — the reverse index is not yet built for
-            // the burst — to `index_arrived`/the post-cascade rebuild;
-            // the scan oracle's rescan needs no index, so it marks
-            // eagerly either way.
+            // are doomed too. The index engines defer the waiters walk —
+            // the reverse index is not yet built for the burst — to
+            // `index_arrived`/the post-burst rebuild; the scan oracle's
+            // rescan needs no index, so it marks eagerly.
             self.stranded_refs.insert(block_ref);
-            if self.burst.is_none() || self.config.admission == AdmissionMode::Scan {
+            if self.config.admission == AdmissionMode::Scan {
                 self.mark_never_promotable(block_ref);
             }
         }
@@ -1283,41 +1152,12 @@ impl Gossip {
         entry
     }
 
-    /// Promotes `start` and every pending block its admission unblocks,
-    /// always taking the smallest ready reference first — the same
-    /// deterministic order the scan engine's min-first rescan produces.
-    ///
-    /// Verification is pipelined in *waves*: whenever the front of the
-    /// ready set has no signature verdict yet, every not-yet-verified
-    /// ready block is checked in one [`BatchVerifier`] pass (fanned across
-    /// the worker pool under [`AdmissionMode::Parallel`]). Verdicts are a
-    /// pure per-block function of cached bytes, so pre-computing them in
-    /// batches cannot change any promotion decision — only amortize its
-    /// cost; each ready block is still verified exactly once, like the
-    /// sequential engines.
-    fn promote_cascade(&mut self, start: BlockRef) {
-        let mut ready: BTreeSet<BlockRef> = BTreeSet::from([start]);
-        // `Some(ok)` — batch-verified; `None` — no signature check needed
-        // (unknown builder: `validate_with` rejects before the signature,
-        // exactly as the per-block engines never reach the verifier).
-        let mut verdicts: BTreeMap<BlockRef, Option<bool>> = BTreeMap::new();
-        while let Some(front) = ready.first() {
-            if !verdicts.contains_key(front) {
-                self.verify_wave(&ready, &mut verdicts);
-            }
-            let block_ref = ready.pop_first().expect("front exists");
-            let verdict = verdicts.remove(&block_ref).expect("wave verified front");
-            let entry = self.take_pending(&block_ref);
-            self.settle_ready(block_ref, entry, verdict, &mut ready);
-        }
-    }
-
     /// Applies the validation outcome for one ready block (all preds in
     /// the DAG, signature verdict pre-computed where applicable): inserts
     /// and references it, or records the rejection and re-lists its
     /// reference as missing for any surviving waiters. Blocks whose last
-    /// missing dependency this settles are added to `unlocked` — the
-    /// cascade's ready set, or the burst engine's next frontier.
+    /// missing dependency this settles are added to `unlocked`, the
+    /// incremental gear's next frontier.
     fn settle_ready(
         &mut self,
         block_ref: BlockRef,
@@ -1392,9 +1232,9 @@ impl Gossip {
     }
 
     /// [`Gossip::note_rejection`] plus the engine-appropriate transitive
-    /// marking — the rejection entry point for every non-burst path (the
-    /// burst cascade walks its own adjacency instead of the waiters map,
-    /// which is stale mid-bracket).
+    /// marking — the rejection entry point of the incremental gear and the
+    /// scan oracle (the analysis gear walks its own adjacency instead of
+    /// the waiters map, which is stale until the post-burst rebuild).
     fn record_rejection(&mut self, block_ref: BlockRef, reason: InvalidBlockError) {
         self.note_rejection(block_ref, reason);
         self.mark_never_promotable(block_ref);
@@ -1516,7 +1356,7 @@ impl Gossip {
         }
     }
 
-    /// Cross-cascade burst promotion (index engines), in one of two
+    /// Burst promotion (index engines), in one of two
     /// byte-equivalent gears picked by burst-vs-backlog size:
     ///
     /// * **Whole-buffer analysis** (the burst dominates the buffer): one
@@ -1527,9 +1367,9 @@ impl Gossip {
     ///   few survivors afterwards. Every whole-buffer pass is amortized
     ///   by the burst's size.
     /// * **Incremental indexing** (a small burst against a large — e.g.
-    ///   flood-filled — backlog): only the arrived blocks are indexed,
-    ///   the per-message way, so a capped byzantine backlog cannot
-    ///   amplify per-bracket cost to O(pending).
+    ///   flood-filled — backlog): only the arrived blocks are indexed
+    ///   into the maintained waiters index, so a capped byzantine backlog
+    ///   cannot amplify per-bracket cost to O(pending).
     ///
     /// Either way, promotion repeatedly takes the whole ready frontier
     /// as one wave in canonical `(builder, seq, ref)` order and
@@ -1583,10 +1423,10 @@ impl Gossip {
         verified
     }
 
-    /// The small-burst gear: index just the arrived blocks the
-    /// per-message way (in arrival order, so `FWD` bookkeeping matches
-    /// the incremental engine exactly), then promote the resulting roots
-    /// with the shared wave scheduler over the maintained waiters index.
+    /// The small-burst gear: index just the arrived blocks (in arrival
+    /// order, so `FWD` candidates accumulate deterministically), then
+    /// promote the resulting roots with the shared wave scheduler over
+    /// the maintained waiters index.
     fn promote_burst_incremental(&mut self, arrived: &[BlockRef]) -> u64 {
         let mut frontier: BTreeSet<BlockRef> = BTreeSet::new();
         for block_ref in arrived {
@@ -1608,8 +1448,7 @@ impl Gossip {
 
     /// Indexes one block that `buffer_for_burst` parked earlier: the
     /// missing-predecessor set, the reverse waiters index, and the `FWD`
-    /// view, exactly as [`Gossip::index_block`] would have at delivery
-    /// time. Returns whether the block is ready for promotion.
+    /// view. Returns whether the block is ready for promotion.
     fn index_arrived(&mut self, block_ref: BlockRef) -> bool {
         let block = self.pending[&block_ref].block.clone();
         let missing: BTreeSet<BlockRef> = block
@@ -1648,11 +1487,10 @@ impl Gossip {
         ready
     }
 
-    /// Restores the incremental engine's canonical state for whatever the
-    /// burst cascade left pending: per-block missing sets, the reverse
-    /// waiters index, and the `FWD` view — so per-message deliveries
-    /// after the bracket resume on exactly the state they would have
-    /// maintained themselves.
+    /// Restores the incremental gear's canonical state for whatever the
+    /// analysis gear left pending: per-block missing sets, the reverse
+    /// waiters index, and the `FWD` view — so later brackets resume on
+    /// exactly the state incremental indexing would have maintained.
     fn rebuild_dependency_index(&mut self) {
         self.waiters.clear();
         let refs: Vec<BlockRef> = self.pending.keys().copied().collect();
@@ -1716,8 +1554,8 @@ impl Gossip {
     /// analysis gear, [`Gossip::settle_ready`] for the incremental gear.
     /// Returns the number of signatures checked. Blocks claiming an
     /// unknown builder are settled without a verdict — `validate_with`
-    /// rejects them before the signature, exactly like the per-message
-    /// engines.
+    /// rejects them before the signature, exactly like the scan oracle
+    /// (batching them would skew the shared verification counters).
     fn promote_wave_by<F>(&mut self, wave: &[BlockRef], settle: &mut F) -> u64
     where
         F: FnMut(&mut Gossip, BlockRef, PendingBlock, Option<bool>),
@@ -1761,7 +1599,7 @@ impl Gossip {
     /// Burst-mode settle: identical validation outcome to
     /// [`Gossip::settle_ready`], with waiters driven by the burst's count
     /// index instead of the incremental maps (which are rebuilt wholesale
-    /// after the cascade).
+    /// after the burst).
     fn settle_burst(
         &mut self,
         block_ref: BlockRef,
@@ -1796,7 +1634,7 @@ impl Gossip {
                 // Everything transitively referencing the rejection is
                 // never-promotable: mark along the burst adjacency (the
                 // waiters map is stale mid-bracket; the FWD re-listing
-                // for surviving waiters happens in the post-cascade
+                // for surviving waiters happens in the post-burst
                 // index rebuild).
                 let mut stack = vec![block_ref];
                 while let Some(r) = stack.pop() {
@@ -1853,52 +1691,6 @@ impl Gossip {
                     Validity::MissingPreds => {
                         unreachable!("frontier block had all preds in the DAG")
                     }
-                }
-            }
-        }
-    }
-
-    /// Fixed-point promotion of pending blocks (lines 6–9): any buffered
-    /// block whose predecessors are all in the DAG is validated; valid
-    /// blocks are inserted and referenced from the current block. The
-    /// paper-literal engine, retained as the equivalence oracle.
-    ///
-    /// `pending` is an ordered map so the promotion order — and with it
-    /// the pred-list order of the block under construction, which is
-    /// hashed and signed — is a pure function of the received blocks,
-    /// keeping whole-simulation runs bit-for-bit reproducible.
-    fn promote_pending_scan(&mut self) {
-        loop {
-            let candidate = self.pending.iter().find_map(|(r, pending)| {
-                pending
-                    .block
-                    .preds()
-                    .iter()
-                    .all(|p| self.dag.contains(p))
-                    .then_some(*r)
-            });
-            let Some(block_ref) = candidate else {
-                return;
-            };
-            let entry = self.take_pending(&block_ref);
-            let builder = entry.block.builder();
-            let seq = entry.block.seq();
-            let from = entry.from;
-            match self.validate(&entry.block) {
-                Validity::Valid => {
-                    self.dag.insert(entry.block).expect("preds checked");
-                    self.note_admitted(builder, seq);
-                    self.current_preds.push(block_ref);
-                    self.stats.blocks_validated += 1;
-                    self.missing.remove(&block_ref);
-                }
-                Validity::Invalid(reason) => {
-                    self.record_rejection(block_ref, reason);
-                    self.penalize(from, Offense::InvalidBlock);
-                    self.missing.remove(&block_ref);
-                }
-                Validity::MissingPreds => {
-                    unreachable!("candidate had all preds in the DAG")
                 }
             }
         }
@@ -2011,45 +1803,6 @@ impl Gossip {
                     },
                 );
             }
-        }
-    }
-
-    /// Batch-verifies the signatures of every ready block that has no
-    /// verdict yet — one wave, one `BatchVerifier` pass (split across the
-    /// worker pool in parallel mode). Blocks claiming an unknown builder
-    /// are marked `None`: the per-block engines reject those before ever
-    /// reaching the verifier, so batching must not verify them either (it
-    /// would skew the shared verification counters).
-    fn verify_wave(
-        &mut self,
-        ready: &BTreeSet<BlockRef>,
-        verdicts: &mut BTreeMap<BlockRef, Option<bool>>,
-    ) {
-        let mut wave: Vec<BlockRef> = Vec::new();
-        let mut items: Vec<SignedDigest> = Vec::new();
-        for block_ref in ready {
-            if verdicts.contains_key(block_ref) {
-                continue;
-            }
-            let block = &self.pending[block_ref].block;
-            if block.builder().index() >= self.config.n {
-                verdicts.insert(*block_ref, None);
-            } else {
-                wave.push(*block_ref);
-                items.push(block.signed_digest());
-            }
-        }
-        if items.is_empty() {
-            return;
-        }
-        self.wave_stats.record(items.len());
-        let results = match &self.pool {
-            Some(pool) => pool.verify(&items),
-            None => self.batch_verifier.verify_batch(&items),
-        };
-        debug_assert_eq!(results.len(), wave.len());
-        for (block_ref, ok) in wave.into_iter().zip(results) {
-            verdicts.insert(block_ref, Some(ok));
         }
     }
 
@@ -2458,13 +2211,15 @@ mod tests {
         }
         // The index engines batch every signature they check (every
         // promoted or rejected block except unknown-builder rejects, which
-        // never reach the verifier); the scan oracle never batches.
+        // never reach the verifier); the scan oracle never batches (its
+        // one-block brackets still count as bursts).
         assert!(engines[0].wave_stats().batched_blocks >= engines[0].stats().blocks_validated);
         assert!(
             engines[0].wave_stats().batched_blocks
                 <= engines[0].stats().blocks_validated + engines[0].stats().invalid_blocks
         );
-        assert_eq!(engines[1].wave_stats(), &WaveStats::default());
+        assert_eq!(engines[1].wave_stats().waves, 0);
+        assert_eq!(engines[1].wave_stats().batched_blocks, 0);
         assert_eq!(engines[0].wave_stats(), engines[2].wave_stats());
         let own: Vec<Block> = engines
             .iter_mut()
@@ -2848,12 +2603,12 @@ mod tests {
         let (b0, _) = bob.disseminate(vec![], 0);
         let mut alice = gossip_for(&registry, 0, 2);
         alice.on_block(b0.clone(), 0);
-        let waves_before = alice.wave_stats().waves;
+        let before = *alice.wave_stats();
         alice.on_block_burst(std::iter::repeat_n(b0.clone(), 64), 1);
         assert_eq!(alice.stats().duplicate_blocks, 64);
-        assert_eq!(alice.wave_stats().waves, waves_before);
-        assert_eq!(alice.wave_stats().bursts, 1);
-        assert_eq!(alice.wave_stats().burst_blocks, 0);
+        assert_eq!(alice.wave_stats().waves, before.waves);
+        assert_eq!(alice.wave_stats().bursts, before.bursts + 1);
+        assert_eq!(alice.wave_stats().burst_blocks, before.burst_blocks);
     }
 
     #[test]

@@ -7,6 +7,11 @@
 //!   `on_block_burst` brackets produces the *byte-identical admitted
 //!   DAG* and identical rejection set that one-at-a-time `on_block`
 //!   produces, under all three admission engines;
+//! * **`on_block` is a burst of one** — unbracketed `on_block(b)` and
+//!   `on_block_burst(once(b))` agree on every observable (commands per
+//!   delivery, DAG order, stats, `WaveStats`, rejections, evictions, and
+//!   the next own block's wire bytes) under all three engines, so no
+//!   second ingest path can diverge from the bracket;
 //! * **burst is engine-equivalent** — under burst ingest, the three
 //!   engines agree on every observable: commands per bracket, promotion
 //!   order, stats, rejections, evictions, and the next own block's wire
@@ -206,6 +211,51 @@ proptest! {
         // Cross-engine byte-identity on the burst path, own block included.
         prop_assert_eq!(burst_fingerprints[0], burst_fingerprints[1]);
         prop_assert_eq!(burst_fingerprints[0], burst_fingerprints[2]);
+    }
+
+    /// Unbracketed `on_block` and a one-block `on_block_burst` are the
+    /// same ingest path: identical commands per delivery and identical
+    /// end state, down to wave statistics and the next own block's bytes
+    /// — on a shuffled hostile soup with one tampered signature, under
+    /// every engine, with a cap small enough to force evictions.
+    #[test]
+    fn on_block_is_a_burst_of_one(
+        builders in 2usize..5,
+        rounds in 2u64..6,
+        cap in 2usize..16,
+        seed in 0u64..10_000,
+    ) {
+        let registry = KeyRegistry::generate(builders + 1, 29);
+        let mut schedule = hostile_soup(builders, rounds, &registry);
+        schedule.shuffle(&mut rand::rngs::StdRng::seed_from_u64(seed));
+        let victim = &schedule[0];
+        schedule[0] = Block::build_with_signature(
+            victim.builder(),
+            victim.seq(),
+            victim.preds().to_vec(),
+            victim.requests().to_vec(),
+            Signature::NULL,
+        );
+        for mode in ALL_MODES {
+            let mut single = receiver(&registry, builders + 1, mode, cap);
+            let mut bracketed = receiver(&registry, builders + 1, mode, cap);
+            for (t, block) in schedule.iter().enumerate() {
+                let commands = single.on_block(block.clone(), t as u64);
+                let burst_commands =
+                    bracketed.on_block_burst(std::iter::once(block.clone()), t as u64);
+                prop_assert_eq!(commands, burst_commands, "{:?}: commands at t={}", mode, t);
+            }
+            let order = |g: &Gossip| g.dag().iter().map(|b| b.block_ref()).collect::<Vec<_>>();
+            prop_assert_eq!(order(&single), order(&bracketed), "{:?}: DAG order", mode);
+            prop_assert_eq!(single.stats(), bracketed.stats(), "{:?}", mode);
+            prop_assert_eq!(single.wave_stats(), bracketed.wave_stats(), "{:?}", mode);
+            prop_assert_eq!(single.rejected(), bracketed.rejected(), "{:?}", mode);
+            prop_assert_eq!(single.evictions(), bracketed.evictions(), "{:?}", mode);
+            prop_assert_eq!(single.pending_len(), bracketed.pending_len(), "{:?}", mode);
+            let (own, _) = single.disseminate(vec![], 1_000_000);
+            let (burst_own, _) = bracketed.disseminate(vec![], 1_000_000);
+            prop_assert_eq!(own.wire_bytes(), burst_own.wire_bytes(), "{:?}: own block", mode);
+        }
     }
 
     /// Satellite: a byzantine flood of never-promotable blocks stays

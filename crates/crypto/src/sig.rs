@@ -132,17 +132,17 @@ impl CryptoMetrics {
         self.largest_batch.load(Ordering::Relaxed)
     }
 
-    /// Number of cross-cascade admission bursts accounted so far — one
-    /// per deferred-admission bracket that verified at least one
-    /// signature, spanning every wave the bracket produced (the
-    /// "multi-wave" unit the burst engine amortizes over).
+    /// Number of admission bursts accounted so far — one per
+    /// deferred-admission bracket (one-block brackets included) that
+    /// verified at least one signature, spanning every wave the bracket
+    /// produced (the "multi-wave" unit the burst engine amortizes over).
     pub fn bursts(&self) -> u64 {
         self.bursts.load(Ordering::Relaxed)
     }
 
-    /// Number of verifications performed inside cross-cascade bursts —
-    /// the share of [`CryptoMetrics::batched_verifies`] that was widened
-    /// past single-cascade waves.
+    /// Number of verifications performed inside accounted bursts — the
+    /// share of [`CryptoMetrics::batched_verifies`] attributed to a
+    /// deferred-admission bracket.
     pub fn burst_verifies(&self) -> u64 {
         self.burst_verifies.load(Ordering::Relaxed)
     }
@@ -472,13 +472,13 @@ impl<S: SignatureScheme> BatchVerifier<S> {
             .verify_batch(&self.registry.publics, items)
     }
 
-    /// Accounts one cross-cascade admission *burst* of `items`
-    /// verifications. The items themselves were already verified (and
-    /// counted) through [`BatchVerifier::verify_batch`] passes — possibly
-    /// several waves, possibly split across worker threads; this records
-    /// that they belonged to one deferred-admission unit, so experiments
-    /// can tell burst-widened verification apart from per-cascade waves.
-    /// Zero-item bursts are not recorded.
+    /// Accounts one admission *burst* of `items` verifications. The
+    /// items themselves were already verified (and counted) through
+    /// [`BatchVerifier::verify_batch`] passes — possibly several waves,
+    /// possibly split across worker threads; this records that they
+    /// belonged to one deferred-admission unit, so experiments can relate
+    /// verification volume to bracket size. Zero-item bursts are not
+    /// recorded.
     pub fn note_burst(&self, items: u64) {
         if items > 0 {
             self.registry.metrics.record_burst(items);

@@ -42,14 +42,14 @@ pub struct Injection<P: DeterministicProtocol> {
 /// How the runner hands deliveries to a correct server's shim.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum IngestMode {
-    /// One [`Shim::on_message`] call per delivered message (the
-    /// historical behavior; every cross-PR fingerprint was pinned on it).
+    /// One [`Shim::on_message`] call per delivered message: each new
+    /// block is admitted through its own one-block burst bracket.
     #[default]
     PerMessage,
     /// Coalesce a run of same-instant deliveries to the same server into
     /// one [`Shim::on_message_burst`] call (up to `max` messages): blocks
-    /// are indexed first, then verified and promoted in one
-    /// cross-cascade pass — the deferred-admission hot path. Protocol
+    /// are buffered first, then verified and promoted in one pass over
+    /// the whole bracket — the deferred-admission hot path. Protocol
     /// outcomes are unchanged; block bytes may differ from
     /// [`IngestMode::PerMessage`] because the current block references
     /// newly admitted blocks in burst order.
@@ -233,8 +233,8 @@ pub struct SimOutcome<P: DeterministicProtocol> {
     /// Verifications that went through batched waves — the share of
     /// `verifications` on the amortized path.
     pub batched_verifications: u64,
-    /// Cross-cascade admission bursts accounted by the crypto layer
-    /// (zero unless servers ingest via [`IngestMode::Burst`]).
+    /// Admission bursts accounted by the crypto layer: one per bracket
+    /// that batch-verified a signature, one-block brackets included.
     pub verify_bursts: u64,
     /// Verifications that belonged to those bursts.
     pub burst_verifications: u64,
@@ -1107,7 +1107,11 @@ mod tests {
             }
             // Burst ingest actually exercised the bracket machinery.
             assert!(bursty.wave_stats.bursts > 0, "drop {drop_rate}");
-            assert_eq!(per_message.wave_stats.bursts, 0);
+            // Every per-message bracket carries exactly one block.
+            assert_eq!(
+                per_message.wave_stats.bursts,
+                per_message.wave_stats.burst_blocks
+            );
         }
     }
 
