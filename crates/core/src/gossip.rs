@@ -693,16 +693,6 @@ struct BurstState {
     arrived: Vec<BlockRef>,
 }
 
-/// Result of the validity checks of Definition 3.3 against the current DAG.
-enum Validity {
-    /// All three conditions hold.
-    Valid,
-    /// Condition (iii) cannot be decided yet: some predecessors are unknown.
-    MissingPreds,
-    /// The block can never become valid.
-    Invalid(InvalidBlockError),
-}
-
 impl Gossip {
     /// Creates a gossip instance for server `me`.
     pub fn new(me: ServerId, config: GossipConfig, signer: Signer, verifier: Verifier) -> Self {
@@ -1153,11 +1143,13 @@ impl Gossip {
     }
 
     /// Applies the validation outcome for one ready block (all preds in
-    /// the DAG, signature verdict pre-computed where applicable): inserts
-    /// and references it, or records the rejection and re-lists its
-    /// reference as missing for any surviving waiters. Blocks whose last
-    /// missing dependency this settles are added to `unlocked`, the
-    /// incremental gear's next frontier.
+    /// the DAG; `verdict` is the wave batch's signature check, `None`
+    /// verifies inline): inserts and references it, or records the
+    /// rejection and re-lists its reference as missing for any surviving
+    /// waiters. Blocks whose last missing dependency this settles are
+    /// added to `unlocked`, the incremental gear's next frontier. The
+    /// scan oracle settles here too: it never fills `waiters`, so its
+    /// wake and re-list steps find nothing.
     fn settle_ready(
         &mut self,
         block_ref: BlockRef,
@@ -1168,8 +1160,8 @@ impl Gossip {
         let builder = entry.block.builder();
         let seq = entry.block.seq();
         let from = entry.from;
-        match self.validate_with(&entry.block, verdict) {
-            Validity::Valid => {
+        match self.validate(&entry.block, verdict) {
+            Ok(()) => {
                 self.dag.insert(entry.block).expect("preds checked");
                 self.note_admitted(builder, seq);
                 // Line 8: B.preds := B.preds · [ref(B')]. Appending once
@@ -1191,7 +1183,7 @@ impl Gossip {
                     }
                 }
             }
-            Validity::Invalid(reason) => {
+            Err(reason) => {
                 self.record_rejection(block_ref, reason);
                 self.penalize(from, Offense::InvalidBlock);
                 self.missing.remove(&block_ref);
@@ -1199,26 +1191,7 @@ impl Gossip {
                 // (its ref can never enter the DAG); it counts as
                 // missing-from-the-network again, exactly as the scan
                 // engine's rebuild would re-list it.
-                if let Some(waiting) = self.waiters.get(&block_ref) {
-                    let candidates: BTreeSet<ServerId> = waiting
-                        .iter()
-                        .filter_map(|w| self.pending.get(w))
-                        .map(|p| p.block.builder())
-                        .collect();
-                    if !candidates.is_empty() {
-                        self.missing.insert(
-                            block_ref,
-                            FwdState {
-                                candidates,
-                                last_sent: None,
-                                attempts: 0,
-                            },
-                        );
-                    }
-                }
-            }
-            Validity::MissingPreds => {
-                unreachable!("ready block had all preds in the DAG")
+                self.relist_for_waiters(block_ref);
             }
         }
     }
@@ -1403,22 +1376,17 @@ impl Gossip {
                 counts.insert(*block_ref, count);
             }
         }
-        let mut verified = 0;
-        let mut wave = self.wave_order(frontier);
-        while !wave.is_empty() {
-            let mut unlocked = BTreeSet::new();
-            verified += self.promote_wave_by(&wave, &mut |gossip, block_ref, entry, verdict| {
+        let verified =
+            self.promote_waves(frontier, |gossip, block_ref, entry, verdict, unlocked| {
                 gossip.settle_burst(
                     block_ref,
                     entry,
                     verdict,
                     &mut adjacency,
                     &mut counts,
-                    &mut unlocked,
+                    unlocked,
                 )
             });
-            wave = self.wave_order(unlocked);
-        }
         self.rebuild_dependency_index();
         verified
     }
@@ -1434,13 +1402,21 @@ impl Gossip {
                 frontier.insert(*block_ref);
             }
         }
+        self.promote_waves(frontier, Gossip::settle_ready)
+    }
+
+    /// The wave scheduler both gears share: promotes `frontier` as one
+    /// wave, then each wave of blocks that `settle` unlocked, until none
+    /// is left. Returns the number of signatures checked.
+    fn promote_waves<F>(&mut self, frontier: BTreeSet<BlockRef>, mut settle: F) -> u64
+    where
+        F: FnMut(&mut Gossip, BlockRef, PendingBlock, Option<bool>, &mut BTreeSet<BlockRef>),
+    {
         let mut verified = 0;
         let mut wave = self.wave_order(frontier);
         while !wave.is_empty() {
             let mut unlocked = BTreeSet::new();
-            verified += self.promote_wave_by(&wave, &mut |gossip, block_ref, entry, verdict| {
-                gossip.settle_ready(block_ref, entry, verdict, &mut unlocked)
-            });
+            verified += self.promote_wave_by(&wave, &mut unlocked, &mut settle);
             wave = self.wave_order(unlocked);
         }
         verified
@@ -1551,14 +1527,20 @@ impl Gossip {
 
     /// Verifies one burst wave (already in canonical order) and settles
     /// each block through `settle` — [`Gossip::settle_burst`] for the
-    /// analysis gear, [`Gossip::settle_ready`] for the incremental gear.
-    /// Returns the number of signatures checked. Blocks claiming an
-    /// unknown builder are settled without a verdict — `validate_with`
-    /// rejects them before the signature, exactly like the scan oracle
-    /// (batching them would skew the shared verification counters).
-    fn promote_wave_by<F>(&mut self, wave: &[BlockRef], settle: &mut F) -> u64
+    /// analysis gear, [`Gossip::settle_ready`] for the incremental gear —
+    /// which adds newly ready blocks to `unlocked`. Returns the number of
+    /// signatures checked. Blocks claiming an unknown builder are settled
+    /// without a verdict — `validate` rejects them before the signature,
+    /// exactly like the scan oracle (batching them would skew the shared
+    /// verification counters).
+    fn promote_wave_by<F>(
+        &mut self,
+        wave: &[BlockRef],
+        unlocked: &mut BTreeSet<BlockRef>,
+        settle: &mut F,
+    ) -> u64
     where
-        F: FnMut(&mut Gossip, BlockRef, PendingBlock, Option<bool>),
+        F: FnMut(&mut Gossip, BlockRef, PendingBlock, Option<bool>, &mut BTreeSet<BlockRef>),
     {
         let items: Vec<SignedDigest> = wave
             .iter()
@@ -1579,7 +1561,7 @@ impl Gossip {
                     let entry = self.take_pending(block_ref);
                     let verdict = (entry.block.builder().index() < self.config.n)
                         .then(|| stream.next_verdict());
-                    settle(self, *block_ref, entry, verdict);
+                    settle(self, *block_ref, entry, verdict, unlocked);
                 }
             }
             None => {
@@ -1588,7 +1570,7 @@ impl Gossip {
                     let entry = self.take_pending(block_ref);
                     let verdict = (entry.block.builder().index() < self.config.n)
                         .then(|| results.next().expect("one verdict per item"));
-                    settle(self, *block_ref, entry, verdict);
+                    settle(self, *block_ref, entry, verdict, unlocked);
                 }
             }
         }
@@ -1612,8 +1594,8 @@ impl Gossip {
         let builder = entry.block.builder();
         let seq = entry.block.seq();
         let from = entry.from;
-        match self.validate_with(&entry.block, verdict) {
-            Validity::Valid => {
+        match self.validate(&entry.block, verdict) {
+            Ok(()) => {
                 self.dag.insert(entry.block).expect("preds checked");
                 self.note_admitted(builder, seq);
                 self.current_preds.push(block_ref);
@@ -1628,7 +1610,7 @@ impl Gossip {
                     }
                 }
             }
-            Validity::Invalid(reason) => {
+            Err(reason) => {
                 self.note_rejection(block_ref, reason);
                 self.penalize(from, Offense::InvalidBlock);
                 // Everything transitively referencing the rejection is
@@ -1647,17 +1629,14 @@ impl Gossip {
                     }
                 }
             }
-            Validity::MissingPreds => {
-                unreachable!("wave block had all preds in the DAG")
-            }
         }
     }
 
     /// Burst promotion under the scan oracle: the same canonical wave
     /// schedule, with readiness recomputed by rescanning the pending
-    /// buffer and one signature check per candidate (no batching — the
-    /// scan engine stays the paper-literal baseline). Always returns 0
-    /// batched verifications.
+    /// buffer and one inline signature check per candidate (no batching
+    /// — the scan engine stays the paper-literal baseline). Always
+    /// returns 0 batched verifications.
     fn promote_burst_scan(&mut self) -> u64 {
         loop {
             let frontier: BTreeSet<BlockRef> = self
@@ -1670,28 +1649,11 @@ impl Gossip {
             if wave.is_empty() {
                 return 0;
             }
+            // `waiters` is empty under the scan oracle: nothing unlocks.
+            let mut unlocked = BTreeSet::new();
             for block_ref in wave {
                 let entry = self.take_pending(&block_ref);
-                let builder = entry.block.builder();
-                let seq = entry.block.seq();
-                let from = entry.from;
-                match self.validate(&entry.block) {
-                    Validity::Valid => {
-                        self.dag.insert(entry.block).expect("preds checked");
-                        self.note_admitted(builder, seq);
-                        self.current_preds.push(block_ref);
-                        self.stats.blocks_validated += 1;
-                        self.missing.remove(&block_ref);
-                    }
-                    Validity::Invalid(reason) => {
-                        self.record_rejection(block_ref, reason);
-                        self.penalize(from, Offense::InvalidBlock);
-                        self.missing.remove(&block_ref);
-                    }
-                    Validity::MissingPreds => {
-                        unreachable!("frontier block had all preds in the DAG")
-                    }
-                }
+                self.settle_ready(block_ref, entry, None, &mut unlocked);
             }
         }
     }
@@ -1784,67 +1746,59 @@ impl Gossip {
                 }
             }
         }
-        // The victim counts as never-received again: if other pending
-        // blocks reference it, re-list it for FWD recovery (same shape as
-        // the rejected-block path, minus the permanence).
-        if let Some(waiting) = self.waiters.get(&victim) {
-            let candidates: BTreeSet<ServerId> = waiting
-                .iter()
-                .filter_map(|w| self.pending.get(w))
-                .map(|p| p.block.builder())
-                .collect();
-            if !candidates.is_empty() {
-                self.missing.insert(
-                    victim,
-                    FwdState {
-                        candidates,
-                        last_sent: None,
-                        attempts: 0,
-                    },
-                );
-            }
+        // The victim counts as never-received again (same shape as the
+        // rejected-block path, minus the permanence).
+        self.relist_for_waiters(victim);
+    }
+
+    /// Lists `block_ref` — just rejected or evicted, so neither in the
+    /// DAG nor buffered — as missing again when pending blocks wait on
+    /// it, with their builders as fresh `FWD` candidates.
+    fn relist_for_waiters(&mut self, block_ref: BlockRef) {
+        let candidates: BTreeSet<ServerId> = self
+            .waiters
+            .get(&block_ref)
+            .into_iter()
+            .flatten()
+            .filter_map(|w| self.pending.get(w))
+            .map(|p| p.block.builder())
+            .collect();
+        if !candidates.is_empty() {
+            self.missing.insert(
+                block_ref,
+                FwdState {
+                    candidates,
+                    last_sent: None,
+                    attempts: 0,
+                },
+            );
         }
     }
 
-    /// The checks of Definition 3.3 for a block whose predecessors are all
-    /// present (condition (iii) — "all preds valid" — then holds because
-    /// only valid blocks enter the DAG).
-    fn validate(&self, block: &Block) -> Validity {
-        self.validate_with(block, None)
-    }
-
-    /// [`Gossip::validate`] with an optionally pre-computed signature
-    /// verdict: `Some` uses the wave batch's result, `None` verifies
-    /// inline. The check *order* is identical either way — the builder
-    /// bound is decided before the signature is consulted.
-    fn validate_with(&self, block: &Block, sig_verdict: Option<bool>) -> Validity {
-        if block.builder().index() >= self.config.n {
-            return Validity::Invalid(InvalidBlockError::UnknownBuilder {
-                claimed: block.builder(),
-            });
+    /// The checks of Definition 3.3 for a ready block — every engine
+    /// settles a block only once all its predecessors are in the DAG, so
+    /// condition (iii), "all preds valid", holds because only valid
+    /// blocks enter it. `sig_verdict` is the wave batch's signature
+    /// check; `None` verifies inline. The check *order* is identical
+    /// either way — the builder bound is decided before the signature is
+    /// consulted.
+    fn validate(&self, block: &Block, sig_verdict: Option<bool>) -> Result<(), InvalidBlockError> {
+        let claimed = block.builder();
+        if claimed.index() >= self.config.n {
+            return Err(InvalidBlockError::UnknownBuilder { claimed });
         }
         // (i) verify(B.n, B.σ).
-        let sig_ok = sig_verdict.unwrap_or_else(|| block.verify_signature(&self.verifier));
-        if !sig_ok {
-            return Validity::Invalid(InvalidBlockError::BadSignature {
-                claimed: block.builder(),
-            });
-        }
-        // (iii) prerequisite: all preds known.
-        if block.preds().iter().any(|p| !self.dag.contains(p)) {
-            return Validity::MissingPreds;
+        if !sig_verdict.unwrap_or_else(|| block.verify_signature(&self.verifier)) {
+            return Err(InvalidBlockError::BadSignature { claimed });
         }
         // (ii) genesis, or exactly one parent.
-        match block.parent_via(|r| self.dag.meta(r)) {
-            Ok(_) => Validity::Valid,
-            Err(err) => Validity::Invalid(err),
-        }
+        block.parent_via(|r| self.dag.meta(r)).map(|_| ())
     }
 
-    /// Rebuilds the missing-predecessor index from the pending buffer
-    /// (line 10: `B ∈ B'.preds`, `B ∉ blks`, `B ∉ G`) — scan engine only;
-    /// the incremental engine maintains the index in place.
-    fn refresh_missing_scan(&mut self) {
+    /// The missing-predecessor view recomputed from the pending buffer
+    /// (line 10: `B ∈ B'.preds`, `B ∉ blks`, `B ∉ G`), with the builders
+    /// of the blocks citing each one.
+    fn scan_missing(&self) -> BTreeMap<BlockRef, BTreeSet<ServerId>> {
         let mut still_missing: BTreeMap<BlockRef, BTreeSet<ServerId>> = BTreeMap::new();
         for pending in self.pending.values() {
             for pred in pending.block.preds() {
@@ -1856,6 +1810,14 @@ impl Gossip {
                 }
             }
         }
+        still_missing
+    }
+
+    /// Rebuilds the `FWD` view from [`Gossip::scan_missing`] — the scan
+    /// oracle after every bracket, the analysis gear after its rebuild;
+    /// the incremental gear maintains the view in place.
+    fn refresh_missing_scan(&mut self) {
+        let still_missing = self.scan_missing();
         // Drop satisfied entries, keep timers of persisting ones, add new.
         self.missing.retain(|r, _| still_missing.contains_key(r));
         for (block_ref, candidates) in still_missing {
@@ -2684,5 +2646,150 @@ mod tests {
         .into_iter()
         .collect();
         assert_engines_agree(&deliveries, 3, &registry);
+    }
+
+    /// Recomputes the dependency index anew and asserts the kept
+    /// one matches: every pending block's missing set is its
+    /// predecessors not in the DAG, `waiters` is exactly the inverse of
+    /// that relation, and the `FWD` view names exactly the references a
+    /// scan of the buffer would request.
+    fn assert_index_matches_rebuild(gossip: &Gossip, context: &str) {
+        let mut inverse: BTreeMap<BlockRef, BTreeSet<BlockRef>> = BTreeMap::new();
+        for (block_ref, pending) in &gossip.pending {
+            let missing: BTreeSet<BlockRef> = pending
+                .block
+                .preds()
+                .iter()
+                .filter(|pred| !gossip.dag.contains(pred))
+                .copied()
+                .collect();
+            for pred in &missing {
+                inverse.entry(*pred).or_default().insert(*block_ref);
+            }
+            assert_eq!(
+                pending.missing, missing,
+                "{context}: missing set of {block_ref:?}"
+            );
+        }
+        assert_eq!(gossip.waiters, inverse, "{context}: waiters");
+        let fwd: Vec<&BlockRef> = gossip.missing.keys().collect();
+        let scanned = gossip.scan_missing();
+        assert_eq!(
+            fwd,
+            scanned.keys().collect::<Vec<_>>(),
+            "{context}: FWD view"
+        );
+    }
+
+    #[test]
+    fn kept_index_matches_a_rebuild_after_every_bracket() {
+        // A shuffled hostile soup: three builders referencing each whole
+        // previous round, one tampered signature with a descendant, an
+        // equivocation with a permanently invalid child and a stranded
+        // grandchild. Delivered twice (evicted blocks come back, the
+        // rest are duplicates) in brackets of mixed sizes under small
+        // caps, so both gears, eviction, rejection and stranding all
+        // interleave with indexing.
+        let registry = KeyRegistry::generate(4, 5);
+        let signers: Vec<Signer> = (1..4)
+            .map(|i| registry.signer(ServerId::new(i)).unwrap())
+            .collect();
+        let mut soup = Vec::new();
+        let mut prev: Vec<BlockRef> = Vec::new();
+        for round in 0..6u64 {
+            let layer: Vec<Block> = signers
+                .iter()
+                .map(|signer| {
+                    Block::build(
+                        signer.id(),
+                        SeqNum::new(round),
+                        prev.clone(),
+                        vec![],
+                        signer,
+                    )
+                })
+                .collect();
+            prev = layer.iter().map(Block::block_ref).collect();
+            soup.extend(layer);
+        }
+        let honest = &soup[6];
+        let tampered = Block::build_with_signature(
+            honest.builder(),
+            honest.seq(),
+            honest.preds().to_vec(),
+            vec![LabeledRequest::encode(crate::Label::new(3), &7u8)],
+            *honest.signature(),
+        );
+        let child_of_tampered = Block::build(
+            signers[0].id(),
+            SeqNum::new(3),
+            vec![soup[3].block_ref(), tampered.block_ref()],
+            vec![],
+            &signers[0],
+        );
+        let twin = Block::build(
+            signers[2].id(),
+            SeqNum::ZERO,
+            vec![],
+            vec![LabeledRequest::encode(crate::Label::new(1), &9u8)],
+            &signers[2],
+        );
+        let two_parents = Block::build(
+            signers[2].id(),
+            SeqNum::new(1),
+            vec![soup[2].block_ref(), twin.block_ref()],
+            vec![],
+            &signers[2],
+        );
+        let grandchild = Block::build(
+            signers[2].id(),
+            SeqNum::new(2),
+            vec![two_parents.block_ref()],
+            vec![],
+            &signers[2],
+        );
+        soup.extend([tampered, child_of_tampered, twin, two_parents, grandchild]);
+        let mut rng = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move || {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            rng
+        };
+        let (mut evicted, mut rejected) = (0, 0);
+        for cap in 2..=15 {
+            let mut schedule = Vec::new();
+            for _ in 0..2 {
+                let mut pass = soup.clone();
+                for i in (1..pass.len()).rev() {
+                    pass.swap(i, (next() % (i as u64 + 1)) as usize);
+                }
+                schedule.extend(pass);
+            }
+            for mode in [AdmissionMode::Index, AdmissionMode::parallel(2)] {
+                let mut alice = Gossip::new(
+                    ServerId::new(0),
+                    GossipConfig::for_n(4)
+                        .with_admission(mode)
+                        .with_pending_cap(cap),
+                    registry.signer(ServerId::new(0)).unwrap(),
+                    registry.verifier(),
+                );
+                let mut rest = schedule.as_slice();
+                let mut sizes = [1usize, 4, 2, 7, 3, 11].into_iter().cycle();
+                let mut at = 0;
+                while !rest.is_empty() {
+                    let (burst, tail) = rest.split_at(sizes.next().unwrap().min(rest.len()));
+                    alice.on_block_burst(burst.iter().cloned(), at);
+                    assert_index_matches_rebuild(&alice, &format!("{mode:?} cap {cap} t={at}"));
+                    rest = tail;
+                    at += 1;
+                }
+                evicted += alice.stats().blocks_evicted;
+                rejected += alice.stats().invalid_blocks;
+            }
+        }
+        assert!(evicted > 0, "the caps must force evictions");
+        assert!(rejected > 0, "the soup must contain rejections");
     }
 }

@@ -354,18 +354,9 @@ impl<P: DeterministicProtocol> Shim<P> {
         self.gossip.begin_burst();
         let mut commands = Vec::new();
         for (from, message) in messages {
-            match message {
-                NetMessage::Block(block) => {
-                    let deferred = self.gossip.on_block_from(from, block, now);
-                    debug_assert!(deferred.is_empty(), "bracketed on_block defers commands");
-                }
-                NetMessage::FwdRequest(block_ref) => {
-                    if self.gossip.defense().is_banned(from, now) {
-                        continue;
-                    }
-                    commands.extend(self.gossip.on_fwd_request(from, block_ref));
-                }
-            }
+            // Bracketed blocks only buffer (no commands); FWD requests
+            // are answered, or dropped for banned peers, right away.
+            commands.extend(self.gossip.on_message(from, message, now));
         }
         commands.extend(self.gossip.end_burst(now));
         self.run_interpretation();

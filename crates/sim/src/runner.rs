@@ -200,6 +200,16 @@ impl SimConfig {
     pub fn byzantine_count(&self) -> usize {
         self.roles.values().filter(|r| r.is_byzantine()).count()
     }
+
+    /// The configuration every correct server's shim is built with — at
+    /// start, on rejoin and on recovery from a durable crash alike.
+    fn shim_config(&self) -> ShimConfig {
+        ShimConfig::new(self.protocol)
+            .with_max_requests_per_block(self.max_requests_per_block)
+            .with_admission(self.admission)
+            .with_pending_cap(self.pending_cap)
+            .with_defense(self.defense)
+    }
 }
 
 /// A server slot in the simulation.
@@ -402,11 +412,7 @@ impl<P: DeterministicProtocol> Simulation<P> {
     /// Panics if a configured role index is out of range.
     pub fn new(config: SimConfig) -> Self {
         let registry = KeyRegistry::generate_kind(config.scheme, config.n, config.seed);
-        let shim_config = ShimConfig::new(config.protocol)
-            .with_max_requests_per_block(config.max_requests_per_block)
-            .with_admission(config.admission)
-            .with_pending_cap(config.pending_cap)
-            .with_defense(config.defense);
+        let shim_config = config.shim_config();
         let mut servers = Vec::with_capacity(config.n);
         for index in 0..config.n {
             let role = config.roles.get(&index).cloned().unwrap_or(Role::Correct);
@@ -694,11 +700,7 @@ impl<P: DeterministicProtocol> Simulation<P> {
             return;
         };
         let dag = dagbft_core::restore_dag(image).expect("own image restores");
-        let shim_config = ShimConfig::new(self.config.protocol)
-            .with_max_requests_per_block(self.config.max_requests_per_block)
-            .with_admission(self.config.admission)
-            .with_pending_cap(self.config.pending_cap)
-            .with_defense(self.config.defense);
+        let shim_config = self.config.shim_config();
         let mut shim = Shim::recover(
             ServerId::new(server as u32),
             shim_config,
@@ -730,11 +732,7 @@ impl<P: DeterministicProtocol> Simulation<P> {
         let hook = self
             .recover_hook
             .expect("durable crash scheduled with a recovery hook");
-        let shim_config = ShimConfig::new(self.config.protocol)
-            .with_max_requests_per_block(self.config.max_requests_per_block)
-            .with_admission(self.config.admission)
-            .with_pending_cap(self.config.pending_cap)
-            .with_defense(self.config.defense);
+        let shim_config = self.config.shim_config();
         let (mut recovered, report) = hook(
             ServerId::new(server as u32),
             shim_config,
