@@ -202,6 +202,11 @@ impl AdmissionMode {
 /// never-promotable blocks cannot grow memory without bound.
 pub const DEFAULT_PENDING_CAP: usize = 65_536;
 
+/// Maximum messages a driver folds into one `Shim::on_message_burst`
+/// bracket: the TCP node drains its incoming channel up to this many, and
+/// the simulator merges same-instant deliveries to one server up to it.
+pub const INGEST_BURST_CAP: usize = 1024;
+
 /// Configuration for the gossip layer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GossipConfig {

@@ -81,7 +81,7 @@ pub use defense::{
 pub use error::{DagError, InvalidBlockError};
 pub use gossip::{
     AdmissionMode, EvictionEvent, Gossip, GossipConfig, GossipStats, NetCommand, NetMessage,
-    WaveStats, DEFAULT_PENDING_CAP, WAVE_WIDTH_BUCKETS,
+    WaveStats, DEFAULT_PENDING_CAP, INGEST_BURST_CAP, WAVE_WIDTH_BUCKETS,
 };
 pub use interpret::{Indication, InterpretStats, Interpreter, InterpreterFootprint, SnapshotError};
 pub use label::Label;

@@ -5,8 +5,12 @@
 //! a [`Shim<P>`] whose [`NetCommand`]s are routed through the
 //! [`NetworkModel`]; byzantine servers are [`ByzServer`]s. Dissemination is
 //! requested on a per-server timer (Algorithm 3, lines 10–11), `FWD`
-//! retries on another. Everything — keys, latencies, drops, event order —
-//! derives from the seed, so runs are exactly reproducible.
+//! retries on another. A correct server ingests the way the TCP node does:
+//! each run of same-instant deliveries to it, up to
+//! [`INGEST_BURST_CAP`], is one [`Shim::on_message_burst`] bracket;
+//! byzantine servers take their messages one at a time. Everything — keys,
+//! latencies, drops, event order — derives from the seed, so runs are
+//! exactly reproducible.
 
 use std::collections::{BTreeSet, HashMap};
 
@@ -14,7 +18,7 @@ use dagbft_codec::{WireDecode, WireEncode};
 use dagbft_core::{
     accountability, AdmissionMode, BlockStore, DefenseConfig, DeterministicProtocol, Label,
     NetCommand, NetMessage, ProtocolConfig, RecoverError, RecoveryReport, Shim, ShimConfig,
-    SnapshotProtocol, TimeMs,
+    SnapshotProtocol, TimeMs, INGEST_BURST_CAP,
 };
 use dagbft_crypto::{KeyRegistry, SchemeKind, ServerId};
 use rand::rngs::StdRng;
@@ -37,26 +41,6 @@ pub struct Injection<P: DeterministicProtocol> {
     pub label: Label,
     /// The request handed to `shim(P)`.
     pub request: P::Request,
-}
-
-/// How the runner hands deliveries to a correct server's shim.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum IngestMode {
-    /// One [`Shim::on_message`] call per delivered message: each new
-    /// block is admitted through its own one-block burst bracket.
-    #[default]
-    PerMessage,
-    /// Coalesce a run of same-instant deliveries to the same server into
-    /// one [`Shim::on_message_burst`] call (up to `max` messages): blocks
-    /// are buffered first, then verified and promoted in one pass over
-    /// the whole bracket — the deferred-admission hot path. Protocol
-    /// outcomes are unchanged; block bytes may differ from
-    /// [`IngestMode::PerMessage`] because the current block references
-    /// newly admitted blocks in burst order.
-    Burst {
-        /// Maximum messages folded into one bracket.
-        max: usize,
-    },
 }
 
 /// Simulation parameters.
@@ -89,8 +73,6 @@ pub struct SimConfig {
     /// equivalence across all three is asserted by
     /// `tests/cross_seed_determinism.rs`.
     pub admission: AdmissionMode,
-    /// Delivery hand-off shape for correct servers (see [`IngestMode`]).
-    pub ingest: IngestMode,
     /// Bound on each correct server's gossip pending buffer (see
     /// `dagbft_core::GossipConfig::pending_cap`).
     pub pending_cap: usize,
@@ -123,7 +105,6 @@ impl SimConfig {
             roles: HashMap::new(),
             max_requests_per_block: 1024,
             admission: AdmissionMode::default(),
-            ingest: IngestMode::default(),
             pending_cap: dagbft_core::DEFAULT_PENDING_CAP,
             scheme: SchemeKind::default(),
             defense: DefenseConfig::default(),
@@ -169,12 +150,6 @@ impl SimConfig {
     /// Selects the gossip admission engine for all correct servers.
     pub fn with_admission(mut self, admission: AdmissionMode) -> Self {
         self.admission = admission;
-        self
-    }
-
-    /// Selects the delivery hand-off shape for correct servers.
-    pub fn with_ingest(mut self, ingest: IngestMode) -> Self {
-        self.ingest = ingest;
         self
     }
 
@@ -625,32 +600,27 @@ impl<P: DeterministicProtocol> Simulation<P> {
                 self.crash_if_due(to, now);
                 match &mut self.servers[to] {
                     Server::Correct(shim) => {
-                        let commands = match self.config.ingest {
-                            IngestMode::PerMessage => shim.on_message(from, message, now),
-                            IngestMode::Burst { max } => {
-                                // Coalesce the run of deliveries queued for
-                                // this server at this instant into one
-                                // deferred-admission bracket.
-                                let mut batch = vec![(from, message)];
-                                while batch.len() < max.max(1) {
-                                    let coalesced = self.queue.pop_if(|at, event| {
-                                        at == now
-                                            && matches!(
-                                                event,
-                                                Event::Deliver { to: next, .. } if *next == to
-                                            )
-                                    });
-                                    match coalesced {
-                                        Some((_, Event::Deliver { from, message, .. })) => {
-                                            batch.push((from, message));
-                                        }
-                                        Some(_) => unreachable!("pop_if matched a delivery"),
-                                        None => break,
-                                    }
+                        // Merge the run of deliveries queued for this server
+                        // at this instant into one deferred-admission
+                        // bracket, as the TCP node does with its channel.
+                        let mut batch = vec![(from, message)];
+                        while batch.len() < INGEST_BURST_CAP {
+                            let coalesced = self.queue.pop_if(|at, event| {
+                                at == now
+                                    && matches!(
+                                        event,
+                                        Event::Deliver { to: next, .. } if *next == to
+                                    )
+                            });
+                            match coalesced {
+                                Some((_, Event::Deliver { from, message, .. })) => {
+                                    batch.push((from, message));
                                 }
-                                shim.on_message_burst(batch, now)
+                                Some(_) => unreachable!("pop_if matched a delivery"),
+                                None => break,
                             }
-                        };
+                        }
+                        let commands = shim.on_message_burst(batch, now);
                         self.route_commands(to, commands, now);
                         self.collect_deliveries(to, now);
                     }
@@ -978,6 +948,8 @@ mod tests {
         let outcome = sim.run();
         assert_eq!(outcome.deliveries.len(), 4, "FWD recovery failed");
         assert!(outcome.net.messages_dropped > 0, "loss actually happened");
+        // Deliveries reached the shims through burst brackets.
+        assert!(outcome.wave_stats.bursts > 0);
     }
 
     #[test]
@@ -1076,50 +1048,11 @@ mod tests {
     }
 
     #[test]
-    fn burst_ingest_reaches_same_protocol_outcomes() {
-        // Burst delivery may reorder how blocks get referenced, but the
-        // protocol-level outcome — who delivers what — is unchanged, on
-        // clean and lossy networks.
-        for drop_rate in [0.0, 0.3] {
-            let run = |ingest: IngestMode| {
-                let config = SimConfig::new(4)
-                    .with_max_time(30_000)
-                    .with_network(NetworkModel::default().with_drop_rate(drop_rate))
-                    .with_ingest(ingest)
-                    .with_stop_after_deliveries(4);
-                let mut sim: Simulation<Brb<u64>> = Simulation::new(config);
-                sim.inject(broadcast_injection(0, 0, 1, 77));
-                sim.run()
-            };
-            let per_message = run(IngestMode::PerMessage);
-            let bursty = run(IngestMode::Burst { max: 1024 });
-            assert_eq!(per_message.deliveries.len(), bursty.deliveries.len());
-            for outcome in [&per_message, &bursty] {
-                assert!(outcome
-                    .deliveries
-                    .iter()
-                    .all(|d| d.indication == BrbIndication::Deliver(77)));
-                for index in outcome.correct_servers() {
-                    assert!(outcome.shim(index).dag().check_invariants());
-                }
-            }
-            // Burst ingest actually exercised the bracket machinery.
-            assert!(bursty.wave_stats.bursts > 0, "drop {drop_rate}");
-            // Every per-message bracket carries exactly one block.
-            assert_eq!(
-                per_message.wave_stats.bursts,
-                per_message.wave_stats.burst_blocks
-            );
-        }
-    }
-
-    #[test]
     fn burst_ingest_is_engine_equivalent_and_reproducible() {
         let run = |mode: AdmissionMode| {
             let config = SimConfig::new(4)
                 .with_max_time(10_000)
                 .with_admission(mode)
-                .with_ingest(IngestMode::Burst { max: 256 })
                 .with_stop_after_deliveries(4);
             let mut sim: Simulation<Brb<u64>> = Simulation::new(config);
             sim.inject(broadcast_injection(0, 0, 1, 6));
@@ -1168,7 +1101,6 @@ mod tests {
             .with_max_time(20_000)
             .with_network(NetworkModel::default().with_drop_rate(0.2))
             .with_role(0, Role::Equivocate { at_seq: 0 })
-            .with_ingest(IngestMode::Burst { max: 64 })
             .with_pending_cap(8)
             .with_stop_after_deliveries(3);
         let mut sim: Simulation<Brb<u64>> = Simulation::new(config);

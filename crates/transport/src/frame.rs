@@ -9,6 +9,11 @@
 //! intermediate encode buffer), and [`read_net_message`] decodes the
 //! received frame as a shared buffer so the block's wire image and request
 //! payloads are slices of it rather than copies.
+//!
+//! Every reader goes through one payload reader that is safe under read
+//! timeouts: a timeout before a frame's first byte consumes nothing, and
+//! one after it is drained, so a retry never misreads payload bytes as a
+//! length prefix.
 
 use std::io::{self, Read, Write};
 
@@ -48,11 +53,11 @@ pub fn read_frame<R: Read, T: WireDecode>(reader: &mut R) -> io::Result<T> {
         .map_err(|err| io::Error::new(io::ErrorKind::InvalidData, err.to_string()))
 }
 
-/// Reads one frame's raw payload: length prefix, cap check, body.
+/// Reads one frame's raw payload: the zero-or-all length prefix
+/// ([`read_len_prefix`]), the [`MAX_FRAME_LEN`] cap check, then the body
+/// drained across timeouts ([`read_exact_draining`]).
 fn read_payload<R: Read>(reader: &mut R) -> io::Result<Vec<u8>> {
-    let mut len_bytes = [0u8; 4];
-    reader.read_exact(&mut len_bytes)?;
-    let len = u32::from_le_bytes(len_bytes) as usize;
+    let len = read_len_prefix(reader)?;
     if len > MAX_FRAME_LEN {
         return Err(io::Error::new(
             io::ErrorKind::InvalidData,
@@ -60,7 +65,7 @@ fn read_payload<R: Read>(reader: &mut R) -> io::Result<Vec<u8>> {
         ));
     }
     let mut payload = vec![0u8; len];
-    reader.read_exact(&mut payload)?;
+    read_exact_draining(reader, &mut payload)?;
     Ok(payload)
 }
 
@@ -91,159 +96,14 @@ pub fn write_net_message<W: Write>(writer: &mut W, message: &NetMessage) -> io::
 ///
 /// # Errors
 ///
-/// Same conditions as [`read_frame`].
+/// Same conditions as [`read_frame`]. A payload that was read in full but
+/// fails to decode is marked so that [`is_corrupt_payload`] holds.
 pub fn read_net_message<R: Read>(reader: &mut R) -> io::Result<NetMessage> {
     // `Bytes::from(Vec)` moves the frame allocation; the decoded block's
     // wire image and payloads are windows into it.
     let payload = Bytes::from(read_payload(reader)?);
     decode_from_bytes(&payload)
-        .map_err(|err| io::Error::new(io::ErrorKind::InvalidData, err.to_string()))
-}
-
-/// Default number of frame buffers a [`FrameArena`] tracks for recycling.
-pub const DEFAULT_ARENA_BUFFERS: usize = 64;
-
-/// Largest buffer capacity the arena will pool for reuse (256 KiB).
-///
-/// Frames may legitimately reach [`MAX_FRAME_LEN`], but *pooling* such
-/// buffers would let a slow-loris peer pin
-/// `buffers × MAX_FRAME_LEN` ≈ 1 GiB of idle capacity per connection by
-/// announcing giant length prefixes and never completing the frames.
-/// Oversized buffers are served and then dropped — only modest ones
-/// re-enter the pool, bounding each connection's spare memory to
-/// `buffers × MAX_SPARE_BUFFER_BYTES` (16 MiB with the defaults).
-pub const MAX_SPARE_BUFFER_BYTES: usize = 256 * 1024;
-
-/// Usage counters of one [`FrameArena`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FrameArenaStats {
-    /// Frames read through the arena.
-    pub frames: u64,
-    /// Frames served from a recycled buffer (no allocation).
-    pub recycled: u64,
-    /// Buffers reclaimed after their last reference dropped.
-    pub reclaimed: u64,
-    /// Buffers returned directly after a failed frame read (disconnect or
-    /// drain timeout mid-payload).
-    pub released: u64,
-}
-
-/// A pool of reusable frame buffers for the receive path.
-///
-/// [`read_net_message_pooled`] reads each frame into a buffer drawn from
-/// the arena and decodes it as shared [`Bytes`], so the message's payload
-/// views are zero-copy windows into the pooled allocation. The arena
-/// keeps a handle to every buffer it lends out; once all *other*
-/// references drop — the frame was a `FWD` request, a duplicate, or a
-/// rejected block, i.e. nothing retained its bytes — the buffer is
-/// reclaimed and reused, capacity intact. Admitted blocks keep their
-/// buffer alive for as long as the DAG caches their wire image: those are
-/// permanently handed over (the arena forgets the oldest lent handles
-/// past its tracking capacity), which is exactly the copy the zero-copy
-/// wire path is built around.
-///
-/// Under a hostile duplicate/garbage flood this makes the receive loop
-/// allocation-free in steady state; under honest traffic it costs one
-/// tracked handle per in-flight frame.
-#[derive(Debug)]
-pub struct FrameArena {
-    /// Reclaimed buffers ready for reuse (capacity preserved).
-    spares: Vec<Vec<u8>>,
-    /// Handles to buffers currently lent out, oldest first.
-    lent: Vec<Bytes>,
-    /// Maximum buffers tracked across `spares` and `lent`.
-    buffers: usize,
-    stats: FrameArenaStats,
-}
-
-impl Default for FrameArena {
-    fn default() -> Self {
-        FrameArena::new(DEFAULT_ARENA_BUFFERS)
-    }
-}
-
-impl FrameArena {
-    /// Creates an arena tracking at most `buffers` buffers (at least 1).
-    pub fn new(buffers: usize) -> Self {
-        FrameArena {
-            spares: Vec::new(),
-            lent: Vec::new(),
-            buffers: buffers.max(1),
-            stats: FrameArenaStats::default(),
-        }
-    }
-
-    /// Usage counters.
-    pub fn stats(&self) -> FrameArenaStats {
-        self.stats
-    }
-
-    /// Buffers currently lent out (still referenced or awaiting sweep).
-    pub fn lent(&self) -> usize {
-        self.lent.len()
-    }
-
-    /// Sweeps lent handles, reclaiming every buffer whose other
-    /// references have all dropped; returns the number reclaimed.
-    pub fn sweep(&mut self) -> usize {
-        let mut reclaimed = 0;
-        let mut still_lent = Vec::with_capacity(self.lent.len());
-        for handle in self.lent.drain(..) {
-            match handle.try_reclaim() {
-                Ok(buffer) => {
-                    reclaimed += 1;
-                    if self.spares.len() < self.buffers
-                        && buffer.capacity() <= MAX_SPARE_BUFFER_BYTES
-                    {
-                        self.spares.push(buffer);
-                    }
-                }
-                Err(handle) => still_lent.push(handle),
-            }
-        }
-        self.lent = still_lent;
-        self.stats.reclaimed += reclaimed as u64;
-        reclaimed
-    }
-
-    /// Draws a cleared buffer: a recycled spare when available, a fresh
-    /// allocation otherwise.
-    fn acquire(&mut self) -> Vec<u8> {
-        self.sweep();
-        match self.spares.pop() {
-            Some(mut buffer) => {
-                buffer.clear();
-                self.stats.recycled += 1;
-                buffer
-            }
-            None => Vec::new(),
-        }
-    }
-
-    /// Returns an unused buffer straight to the pool, capacity intact.
-    ///
-    /// The receive path calls this when a frame fails mid-read (peer
-    /// disconnect, drain timeout): the buffer never reached a decoder, so
-    /// it can be reused immediately instead of leaking out of the pool.
-    pub fn release(&mut self, mut buffer: Vec<u8>) {
-        self.stats.released += 1;
-        if self.spares.len() < self.buffers && buffer.capacity() <= MAX_SPARE_BUFFER_BYTES {
-            buffer.clear();
-            self.spares.push(buffer);
-        }
-    }
-
-    /// Registers a lent-out payload for future reclamation. Past the
-    /// tracking capacity the oldest handle is handed over for good (its
-    /// holder — typically the DAG's cached wire image — now owns the
-    /// allocation's lifetime).
-    fn track(&mut self, payload: Bytes) {
-        self.stats.frames += 1;
-        if self.lent.len() >= self.buffers {
-            self.lent.remove(0);
-        }
-        self.lent.push(payload);
-    }
+        .map_err(|err| io::Error::new(io::ErrorKind::InvalidData, CorruptPayload(err.to_string())))
 }
 
 /// Maximum consecutive idle reads tolerated while draining a partially
@@ -313,42 +173,6 @@ fn read_len_prefix<R: Read>(reader: &mut R) -> io::Result<usize> {
     Ok(u32::from_le_bytes(len_bytes) as usize)
 }
 
-/// [`read_net_message`] over a [`FrameArena`]: the frame is read into a
-/// pooled buffer and decoded as shared [`Bytes`], and the buffer is
-/// recycled once every reference to it drops.
-///
-/// A frame that fails mid-payload (peer disconnect, drain timeout) is
-/// cleaned up fully: the partial payload is discarded and its buffer is
-/// [released](FrameArena::release) back to the arena, so a flapping
-/// connection never bleeds pooled allocations.
-///
-/// # Errors
-///
-/// Same conditions as [`read_frame`].
-pub fn read_net_message_pooled<R: Read>(
-    reader: &mut R,
-    arena: &mut FrameArena,
-) -> io::Result<NetMessage> {
-    let len = read_len_prefix(reader)?;
-    if len > MAX_FRAME_LEN {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("frame of {len} bytes exceeds cap"),
-        ));
-    }
-    let mut buffer = arena.acquire();
-    buffer.resize(len, 0);
-    if let Err(err) = read_exact_draining(reader, &mut buffer) {
-        arena.release(buffer);
-        return Err(err);
-    }
-    let payload = Bytes::from(buffer);
-    let message = decode_from_bytes(&payload)
-        .map_err(|err| io::Error::new(io::ErrorKind::InvalidData, CorruptPayload(err.to_string())));
-    arena.track(payload);
-    message
-}
-
 /// Error payload marking a frame whose body was fully consumed but failed
 /// to decode. The stream is still frame-synced after this error — the
 /// length prefix already drained the bad payload — so a reader may count
@@ -367,8 +191,8 @@ impl std::fmt::Display for CorruptPayload {
 impl std::error::Error for CorruptPayload {}
 
 /// Whether `err` marks a fully consumed, frame-synced-but-undecodable
-/// payload from [`read_net_message_pooled`] — the one framing error a
-/// reader can survive without desynchronising.
+/// payload from [`read_net_message`] — the one framing error a reader can
+/// survive without desynchronising.
 pub fn is_corrupt_payload(err: &io::Error) -> bool {
     err.kind() == io::ErrorKind::InvalidData
         && err
@@ -436,6 +260,16 @@ mod tests {
         let mut cursor = io::Cursor::new(buffer);
         let err = read_frame::<_, u64>(&mut cursor).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+
+        // A disconnect mid-payload: the length prefix and half a block
+        // arrive, then the stream ends.
+        let mut wire = Vec::new();
+        write_net_message(&mut wire, &NetMessage::Block(sample_block())).unwrap();
+        wire.truncate(wire.len() - wire.len() / 2);
+        let mut cursor = io::Cursor::new(wire);
+        let err = read_net_message(&mut cursor).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+        assert!(!is_corrupt_payload(&err));
     }
 
     #[test]
@@ -481,121 +315,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn pooled_read_matches_unpooled_and_recycles_dropped_frames() {
-        let block = sample_block();
-        let messages = [
-            NetMessage::FwdRequest(block.block_ref()),
-            NetMessage::Block(block.clone()),
-            NetMessage::FwdRequest(block.block_ref()),
-        ];
-        let mut wire = Vec::new();
-        for message in &messages {
-            write_net_message(&mut wire, message).unwrap();
-        }
-        let mut arena = FrameArena::new(8);
-        let mut cursor = io::Cursor::new(wire);
-        // FWD requests copy their 32-byte ref out of the frame, so their
-        // buffers are reclaimable immediately; by the third read the
-        // arena serves a recycled buffer.
-        let first = read_net_message_pooled(&mut cursor, &mut arena).unwrap();
-        assert_eq!(first, messages[0]);
-        let second = read_net_message_pooled(&mut cursor, &mut arena).unwrap();
-        assert_eq!(second, messages[1]);
-        let third = read_net_message_pooled(&mut cursor, &mut arena).unwrap();
-        assert_eq!(third, messages[2]);
-        assert_eq!(arena.stats().frames, 3);
-        assert!(
-            arena.stats().recycled >= 1,
-            "fwd frame buffer reused: {:?}",
-            arena.stats()
-        );
-        // The decoded block's wire image is a zero-copy window into the
-        // pooled frame, which therefore stays lent out…
-        let NetMessage::Block(received) = &second else {
-            panic!("expected a block");
-        };
-        assert!(received.wire_bytes().ref_count() > 1);
-        drop(second);
-        // …until the block drops, after which a sweep reclaims it.
-        arena.sweep();
-        assert_eq!(arena.lent(), 0);
-        assert_eq!(arena.stats().reclaimed, 3);
-    }
-
-    #[test]
-    fn arena_hands_over_oldest_past_capacity() {
-        let block = sample_block();
-        let mut wire = Vec::new();
-        for _ in 0..3 {
-            write_net_message(&mut wire, &NetMessage::Block(block.clone())).unwrap();
-        }
-        let mut arena = FrameArena::new(2);
-        let mut cursor = io::Cursor::new(wire);
-        // All three decoded blocks retain their frames; the arena only
-        // tracks the newest two and permanently hands over the oldest.
-        let kept: Vec<NetMessage> = (0..3)
-            .map(|_| read_net_message_pooled(&mut cursor, &mut arena).unwrap())
-            .collect();
-        assert_eq!(arena.lent(), 2);
-        drop(kept);
-        arena.sweep();
-        assert_eq!(arena.stats().reclaimed, 2);
-    }
-
-    #[test]
-    fn pooled_read_rejects_oversized_and_garbage() {
-        let mut arena = FrameArena::new(4);
-        let mut buffer = Vec::new();
-        buffer.extend_from_slice(&(MAX_FRAME_LEN as u32 + 1).to_le_bytes());
-        let mut cursor = io::Cursor::new(buffer);
-        assert_eq!(
-            read_net_message_pooled(&mut cursor, &mut arena)
-                .unwrap_err()
-                .kind(),
-            io::ErrorKind::InvalidData
-        );
-        let mut buffer = Vec::new();
-        buffer.extend_from_slice(&1u32.to_le_bytes());
-        buffer.push(9); // invalid discriminant
-        let mut cursor = io::Cursor::new(buffer);
-        assert_eq!(
-            read_net_message_pooled(&mut cursor, &mut arena)
-                .unwrap_err()
-                .kind(),
-            io::ErrorKind::InvalidData
-        );
-        // The garbage frame's buffer is still recycled.
-        arena.sweep();
-        assert_eq!(arena.stats().reclaimed, 1);
-    }
-
-    #[test]
-    fn partial_frame_releases_buffer_instead_of_poisoning_arena() {
-        let block = sample_block();
-        let message = NetMessage::Block(block);
-        let mut wire = Vec::new();
-        write_net_message(&mut wire, &message).unwrap();
-
-        // A disconnect mid-payload: the length prefix and half the payload
-        // arrive, then the stream ends.
-        let mut truncated = wire.clone();
-        truncated.truncate(wire.len() - wire.len() / 2);
-        let mut arena = FrameArena::new(4);
-        let mut cursor = io::Cursor::new(truncated);
-        let err = read_net_message_pooled(&mut cursor, &mut arena).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
-        // The partial buffer went back to the pool, not into the void.
-        assert_eq!(arena.stats().released, 1);
-        assert_eq!(arena.lent(), 0);
-
-        // The released buffer is recycled by the next (complete) frame.
-        let mut cursor = io::Cursor::new(wire);
-        let decoded = read_net_message_pooled(&mut cursor, &mut arena).unwrap();
-        assert_eq!(decoded, message);
-        assert_eq!(arena.stats().recycled, 1);
-    }
-
     /// A reader that yields timeouts between single-byte reads — the shape
     /// of a slow peer on a stream with a read timeout.
     struct Trickle {
@@ -619,14 +338,33 @@ mod tests {
         }
     }
 
+    /// Reads one frame via `read_one`, retrying on `WouldBlock` the way
+    /// the transport's read loop does.
+    fn read_retrying<T>(
+        trickle: &mut Trickle,
+        mut read_one: impl FnMut(&mut Trickle) -> io::Result<T>,
+    ) -> T {
+        loop {
+            match read_one(trickle) {
+                Ok(value) => return value,
+                Err(err) if err.kind() == io::ErrorKind::WouldBlock => continue,
+                Err(err) => panic!("unexpected error: {err}"),
+            }
+        }
+    }
+
     #[test]
     fn mid_frame_timeouts_are_drained_not_desynced() {
         let block = sample_block();
+        let hello = Hello {
+            from: ServerId::new(3),
+        };
         let messages = [
             NetMessage::Block(block.clone()),
             NetMessage::FwdRequest(block.block_ref()),
         ];
         let mut wire = Vec::new();
+        write_frame(&mut wire, &hello).unwrap();
         for message in &messages {
             write_net_message(&mut wire, message).unwrap();
         }
@@ -635,17 +373,13 @@ mod tests {
             at: 0,
             give_byte: false,
         };
-        let mut arena = FrameArena::new(4);
-        // The length prefix still goes through read_exact, which bails on
-        // the first timeout — retry it like the transport's read loop does.
+        // Every read times out after one byte, inside the length prefix
+        // as well as inside the payload: a retry must resume the frame,
+        // not re-read its remaining bytes as a fresh length prefix.
+        let received: Hello = read_retrying(&mut trickle, read_frame);
+        assert_eq!(received, hello);
         for expected in &messages {
-            let received = loop {
-                match read_net_message_pooled(&mut trickle, &mut arena) {
-                    Ok(message) => break message,
-                    Err(err) if err.kind() == io::ErrorKind::WouldBlock => continue,
-                    Err(err) => panic!("unexpected error: {err}"),
-                }
-            };
+            let received = read_retrying(&mut trickle, read_net_message);
             assert_eq!(&received, expected);
         }
     }
@@ -655,18 +389,25 @@ mod tests {
         let mut buffer = Vec::new();
         buffer.extend_from_slice(&(MAX_FRAME_LEN as u32 + 1).to_le_bytes());
         let mut cursor = io::Cursor::new(buffer);
-        assert_eq!(
-            read_net_message(&mut cursor).unwrap_err().kind(),
-            io::ErrorKind::InvalidData
-        );
+        let err = read_net_message(&mut cursor).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        // An oversized prefix leaves the body unread: the stream is no
+        // longer frame-synced.
+        assert!(!is_corrupt_payload(&err));
 
         let mut buffer = Vec::new();
         buffer.extend_from_slice(&1u32.to_le_bytes());
         buffer.push(9); // invalid discriminant
+        let block = sample_block();
+        write_net_message(&mut buffer, &NetMessage::FwdRequest(block.block_ref())).unwrap();
         let mut cursor = io::Cursor::new(buffer);
+        let err = read_net_message(&mut cursor).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        // The garbage body was consumed whole, so the next frame reads.
+        assert!(is_corrupt_payload(&err));
         assert_eq!(
-            read_net_message(&mut cursor).unwrap_err().kind(),
-            io::ErrorKind::InvalidData
+            read_net_message(&mut cursor).unwrap(),
+            NetMessage::FwdRequest(block.block_ref())
         );
     }
 }

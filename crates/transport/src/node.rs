@@ -8,7 +8,7 @@ use std::time::{Duration, Instant};
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use dagbft_core::{
     shim::SetupError, BlockStore, DeterministicProtocol, Label, NetCommand, RecoverError,
-    RecoveryReport, Shim, ShimConfig, TimeMs,
+    RecoveryReport, Shim, ShimConfig, TimeMs, INGEST_BURST_CAP,
 };
 use dagbft_crypto::{KeyRegistry, ServerId};
 use dagbft_metrics::{publish, MetricsRegistry, MetricsServer};
@@ -22,11 +22,6 @@ pub struct NodeConfig {
     pub disseminate_every_ms: u64,
     /// Interval between `FWD` retry ticks.
     pub tick_every_ms: u64,
-    /// Maximum messages folded into one deferred-admission burst by the
-    /// event loop — bounds the latency added by draining the channel.
-    /// Wider caps amortize verification better under sustained load;
-    /// narrower ones keep tail latency low (clamped to at least 1).
-    pub ingest_burst_cap: usize,
     /// When set, the node serves a live JSON metrics snapshot over HTTP
     /// from this address (port 0 binds ephemerally — read the bound
     /// address back via [`NodeHandle::metrics_addr`]). The event loop
@@ -38,12 +33,6 @@ pub struct NodeConfig {
 }
 
 impl NodeConfig {
-    /// Caps the per-iteration ingest burst (clamped to at least 1).
-    pub fn with_ingest_burst_cap(mut self, cap: usize) -> Self {
-        self.ingest_burst_cap = cap.max(1);
-        self
-    }
-
     /// Serves live metrics over HTTP from `addr` (see
     /// [`NodeConfig::metrics_addr`]).
     pub fn with_metrics_addr(mut self, addr: SocketAddr) -> Self {
@@ -57,7 +46,6 @@ impl Default for NodeConfig {
         NodeConfig {
             disseminate_every_ms: 50,
             tick_every_ms: 100,
-            ingest_burst_cap: 1024,
             metrics_addr: None,
         }
     }
@@ -265,13 +253,13 @@ where
                 recv(transport.incoming()) -> incoming => {
                     if let Ok(first) = incoming {
                         // Drain whatever else already queued up behind the
-                        // first message and admit the whole run as one
-                        // deferred burst: blocks are indexed first, then
-                        // verified in cross-cascade waves and interpreted
-                        // once — the ingest shape the parallel admission
-                        // pool is built for.
+                        // first message, up to `INGEST_BURST_CAP`, and admit
+                        // the whole run as one deferred burst: blocks are
+                        // indexed first, then verified in cross-cascade
+                        // waves and interpreted once. The simulator
+                        // brackets same-instant deliveries the same way.
                         let mut batch = vec![first];
-                        while batch.len() < pacing.ingest_burst_cap.max(1) {
+                        while batch.len() < INGEST_BURST_CAP {
                             match transport.incoming().try_recv() {
                                 Ok(message) => batch.push(message),
                                 Err(_) => break,

@@ -11,9 +11,7 @@ use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use dagbft_core::NetMessage;
 use dagbft_crypto::ServerId;
 
-use crate::frame::{
-    is_corrupt_payload, read_net_message_pooled, write_frame, write_net_message, FrameArena, Hello,
-};
+use crate::frame::{is_corrupt_payload, read_net_message, write_frame, write_net_message, Hello};
 
 const POLL: Duration = Duration::from_millis(25);
 /// First reconnect delay; doubles per failed attempt up to [`BACKOFF_MAX`].
@@ -155,7 +153,7 @@ impl TcpTransport {
             let traffic = traffic.clone();
             let bans = bans.clone();
             threads.push(std::thread::spawn(move || {
-                accept_loop(listener, incoming_tx, traffic, bans, shutdown);
+                accept_loop(me, listener, incoming_tx, traffic, bans, shutdown);
             }));
         }
 
@@ -272,6 +270,7 @@ impl Drop for TcpTransport {
 }
 
 fn accept_loop(
+    me: ServerId,
     listener: TcpListener,
     incoming_tx: Sender<(ServerId, NetMessage)>,
     traffic: Arc<Vec<PeerTraffic>>,
@@ -294,7 +293,7 @@ fn accept_loop(
                 let traffic = traffic.clone();
                 let bans = bans.clone();
                 readers.push(std::thread::spawn(move || {
-                    reader_loop(stream, incoming_tx, traffic, bans, shutdown);
+                    reader_loop(me, stream, incoming_tx, traffic, bans, shutdown);
                 }));
             }
             Err(err) if err.kind() == io::ErrorKind::WouldBlock => {
@@ -309,6 +308,7 @@ fn accept_loop(
 }
 
 fn reader_loop(
+    me: ServerId,
     stream: TcpStream,
     incoming_tx: Sender<(ServerId, NetMessage)>,
     traffic: Arc<Vec<PeerTraffic>>,
@@ -325,30 +325,26 @@ fn reader_loop(
         Some(hello) => hello.from,
         None => return,
     };
-    // The reconnect gate of the defense layer's time-decaying bans: a
-    // banned peer's connection is dropped as soon as it names itself, and
-    // the per-message check below closes connections that were already up
-    // when the ban landed.
-    if bans.is_banned(from.index()) {
+    // A claimed identity must be a peer the defense layer can score and
+    // the ban table can refuse: gossip exempts traffic from `me` from
+    // peer defense, and an index past the peer table has no ban slot.
+    let Some(peer) = traffic.get(from.index()).filter(|_| from != me) else {
         return;
-    }
-    // Blocks decoded here slice a pooled frame buffer (zero-copy receive
-    // with buffer recycling): see `frame::read_net_message_pooled`. One
-    // arena per connection, so a burst arriving off one socket reuses the
-    // same buffers as soon as upstream drops them (duplicates, FWD
-    // requests, rejected blocks).
-    let mut arena = FrameArena::default();
+    };
     while !shutdown.load(Ordering::SeqCst) {
+        // The gate of the defense layer's time-decaying bans: a banned
+        // peer's connection is dropped as soon as it names itself, and a
+        // connection that was already up when the ban landed closes before
+        // its next message.
         if bans.is_banned(from.index()) {
             return;
         }
-        match read_net_message_pooled(&mut stream, &mut arena) {
+        // Blocks decoded here are zero-copy slices of the frame buffer.
+        match read_net_message(&mut stream) {
             Ok(message) => {
-                if let Some(peer) = traffic.get(from.index()) {
-                    peer.recv_msgs.fetch_add(1, Ordering::Relaxed);
-                    peer.recv_bytes
-                        .fetch_add(message.wire_len() as u64, Ordering::Relaxed);
-                }
+                peer.recv_msgs.fetch_add(1, Ordering::Relaxed);
+                peer.recv_bytes
+                    .fetch_add(message.wire_len() as u64, Ordering::Relaxed);
                 if incoming_tx.send((from, message)).is_err() {
                     return;
                 }
@@ -363,9 +359,7 @@ fn reader_loop(
                 // The bad payload was fully drained — the stream is still
                 // frame-synced, so count the offense and keep reading
                 // rather than handing the peer a free reconnect cycle.
-                if let Some(peer) = traffic.get(from.index()) {
-                    peer.recv_decode_errors.fetch_add(1, Ordering::Relaxed);
-                }
+                peer.recv_decode_errors.fetch_add(1, Ordering::Relaxed);
                 continue;
             }
             Err(_) => return,
@@ -512,6 +506,7 @@ mod tests {
     use super::*;
     use dagbft_core::{Block, SeqNum};
     use dagbft_crypto::KeyRegistry;
+    use std::io::Write;
 
     fn sample_message() -> NetMessage {
         let registry = KeyRegistry::generate(1, 1);
@@ -604,6 +599,77 @@ mod tests {
         assert!(delivered, "sender must reconnect after peer comes up");
         a.shutdown();
         b.shutdown();
+    }
+
+    /// Opens a raw client connection to `addr` and sends `hello`.
+    fn raw_client(addr: SocketAddr, hello: u32) -> TcpStream {
+        let mut stream = TcpStream::connect(addr).unwrap();
+        write_frame(
+            &mut stream,
+            &Hello {
+                from: ServerId::new(hello),
+            },
+        )
+        .unwrap();
+        stream
+    }
+
+    #[test]
+    fn hello_naming_self_or_an_unknown_server_is_dropped() {
+        let transport = TcpTransport::bind(
+            ServerId::new(0),
+            localhost(),
+            vec![localhost(), localhost()],
+        )
+        .unwrap();
+        let message = sample_message();
+        // Server 0 is the receiver itself; server 2 has no peer slot.
+        for hello in [0, 2] {
+            let mut client = raw_client(transport.local_addr(), hello);
+            let _ = write_net_message(&mut client, &message);
+            assert!(
+                transport
+                    .incoming()
+                    .recv_timeout(Duration::from_millis(300))
+                    .is_err(),
+                "hello from {hello} must not deliver"
+            );
+        }
+        // A genuine peer's connection still delivers.
+        let mut client = raw_client(transport.local_addr(), 1);
+        write_net_message(&mut client, &message).unwrap();
+        let (from, received) = transport
+            .incoming()
+            .recv_timeout(Duration::from_secs(5))
+            .expect("delivery");
+        assert_eq!((from, received), (ServerId::new(1), message));
+        transport.shutdown();
+    }
+
+    #[test]
+    fn corrupt_frame_is_counted_and_the_connection_keeps_reading() {
+        let transport = TcpTransport::bind(
+            ServerId::new(0),
+            localhost(),
+            vec![localhost(), localhost()],
+        )
+        .unwrap();
+        let mut client = raw_client(transport.local_addr(), 1);
+        // A one-byte frame with an invalid discriminant, then a valid
+        // forward request on the same connection.
+        client.write_all(&[1, 0, 0, 0, 9]).unwrap();
+        let NetMessage::Block(block) = sample_message() else {
+            unreachable!("sample_message builds a block");
+        };
+        let fwd = NetMessage::FwdRequest(block.block_ref());
+        write_net_message(&mut client, &fwd).unwrap();
+        let (from, received) = transport
+            .incoming()
+            .recv_timeout(Duration::from_secs(5))
+            .expect("the connection survives the corrupt frame");
+        assert_eq!((from, received), (ServerId::new(1), fwd));
+        assert_eq!(transport.peer_traffic()[1].recv_decode_errors, 1);
+        transport.shutdown();
     }
 
     #[test]
