@@ -948,8 +948,6 @@ mod tests {
         let outcome = sim.run();
         assert_eq!(outcome.deliveries.len(), 4, "FWD recovery failed");
         assert!(outcome.net.messages_dropped > 0, "loss actually happened");
-        // Deliveries reached the shims through burst brackets.
-        assert!(outcome.wave_stats.bursts > 0);
     }
 
     #[test]
@@ -1044,6 +1042,50 @@ mod tests {
             assert!(outcome.verify_batches > 0);
             assert!(outcome.batched_verifications > 0);
             assert!(outcome.batched_verifications <= outcome.verifications);
+        }
+    }
+
+    #[test]
+    fn burst_ingest_reaches_same_protocol_outcomes() {
+        // Burst brackets change how blocks get referenced with the network
+        // timing, but not the protocol-level outcome — who delivers what —
+        // on clean and lossy networks alike.
+        let run = |drop_rate: f64| {
+            let config = SimConfig::new(4)
+                .with_max_time(30_000)
+                .with_network(NetworkModel::default().with_drop_rate(drop_rate))
+                .with_stop_after_deliveries(4);
+            let mut sim: Simulation<Brb<u64>> = Simulation::new(config);
+            sim.inject(broadcast_injection(0, 0, 1, 77));
+            sim.run()
+        };
+        let clean = run(0.0);
+        let lossy = run(0.3);
+        assert!(lossy.net.messages_dropped > 0, "loss actually happened");
+        let delivered = |outcome: &SimOutcome<Brb<u64>>| {
+            outcome
+                .deliveries
+                .iter()
+                .map(|d| (d.server, d.indication.clone()))
+                .collect::<BTreeSet<_>>()
+        };
+        assert_eq!(delivered(&clean), delivered(&lossy));
+        for outcome in [&clean, &lossy] {
+            assert_eq!(outcome.deliveries.len(), 4);
+            assert!(outcome
+                .deliveries
+                .iter()
+                .all(|d| d.indication == BrbIndication::Deliver(77)));
+            for index in outcome.correct_servers() {
+                assert!(outcome.shim(index).dag().check_invariants());
+            }
+            // Deliveries reached the shims through burst brackets, each
+            // within the node's cap.
+            assert!(outcome.wave_stats.bursts > 0);
+            assert!(
+                outcome.wave_stats.burst_blocks
+                    <= outcome.wave_stats.bursts * INGEST_BURST_CAP as u64
+            );
         }
     }
 

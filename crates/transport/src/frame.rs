@@ -260,16 +260,34 @@ mod tests {
         let mut cursor = io::Cursor::new(buffer);
         let err = read_frame::<_, u64>(&mut cursor).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+    }
 
-        // A disconnect mid-payload: the length prefix and half a block
-        // arrive, then the stream ends.
+    #[test]
+    fn partial_frame_releases_buffer_instead_of_poisoning_arena() {
+        let block = sample_block();
+        let message = NetMessage::Block(block);
         let mut wire = Vec::new();
-        write_net_message(&mut wire, &NetMessage::Block(sample_block())).unwrap();
-        wire.truncate(wire.len() - wire.len() / 2);
-        let mut cursor = io::Cursor::new(wire);
+        write_net_message(&mut wire, &message).unwrap();
+
+        // A disconnect mid-payload: the length prefix and half the payload
+        // arrive, then the stream ends. That is a plain EOF, not a corrupt
+        // payload a reader could skip past.
+        let mut truncated = wire.clone();
+        truncated.truncate(wire.len() - wire.len() / 2);
+        let mut cursor = io::Cursor::new(truncated);
         let err = read_net_message(&mut cursor).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
         assert!(!is_corrupt_payload(&err));
+
+        // The reader keeps no state across frames: the next complete
+        // frame decodes in full, wire image included.
+        let mut cursor = io::Cursor::new(wire);
+        let decoded = read_net_message(&mut cursor).unwrap();
+        assert_eq!(decoded, message);
+        let (NetMessage::Block(sent), NetMessage::Block(received)) = (&message, &decoded) else {
+            panic!("expected blocks");
+        };
+        assert_eq!(received.wire_bytes(), sent.wire_bytes());
     }
 
     #[test]
@@ -398,16 +416,45 @@ mod tests {
         let mut buffer = Vec::new();
         buffer.extend_from_slice(&1u32.to_le_bytes());
         buffer.push(9); // invalid discriminant
-        let block = sample_block();
-        write_net_message(&mut buffer, &NetMessage::FwdRequest(block.block_ref())).unwrap();
         let mut cursor = io::Cursor::new(buffer);
         let err = read_net_message(&mut cursor).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-        // The garbage body was consumed whole, so the next frame reads.
+        // The garbage body was consumed whole: the stream stays
+        // frame-synced.
         assert!(is_corrupt_payload(&err));
+    }
+
+    #[test]
+    fn pooled_read_rejects_oversized_and_garbage() {
+        // One live stream, read the way the TCP receive loop reads it: a
+        // garbage frame, a good frame, then a hostile length prefix.
+        let block = sample_block();
+        let mut wire = Vec::new();
+        wire.extend_from_slice(&1u32.to_le_bytes());
+        wire.push(9); // invalid discriminant
+        write_net_message(&mut wire, &NetMessage::FwdRequest(block.block_ref())).unwrap();
+        wire.extend_from_slice(&(MAX_FRAME_LEN as u32 + 1).to_le_bytes());
+        wire.extend_from_slice(&[0u8; 16]);
+        let mut cursor = io::Cursor::new(wire);
+
+        let err = read_net_message(&mut cursor).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(is_corrupt_payload(&err));
+        // The garbage frame left the stream synced: the next frame reads.
         assert_eq!(
             read_net_message(&mut cursor).unwrap(),
             NetMessage::FwdRequest(block.block_ref())
+        );
+        // The oversized frame is refused before its body is allocated or
+        // read, so the stream is not synced any more.
+        let before = cursor.position();
+        let err = read_net_message(&mut cursor).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(!is_corrupt_payload(&err));
+        assert_eq!(
+            cursor.position(),
+            before + 4,
+            "only the prefix was consumed"
         );
     }
 }
